@@ -10,10 +10,9 @@
 //! about as much host time as the screen.
 
 use crate::trace::Tracer;
-use crate::{check_with_planted, stats, Settled, Traced, Verification, Workload};
+use crate::{check_with_planted, stats, Settled, Traced, Untraced, Verification, Workload};
 use plc_analysis::drift::{access_delay_distribution, tagged_slot_duration_us};
 use plc_analysis::meanfield::MeanFieldModel;
-use plc_analysis::screen_schedule;
 use plc_boost::run::dominates;
 use plc_boost::{
     screen_space, BoostArtifact, BoostConfig, BoostRun, CandidateObjectives, Portfolio,
@@ -245,7 +244,7 @@ impl Workload for BoostSearch {
         inputs: &BoostInputs,
         index: usize,
         tracer: &mut Tracer,
-        _untraced_wall_s: f64,
+        _untraced: Untraced,
     ) -> Result<Traced<BoostPass>, String> {
         let timing = MacTiming::paper_default();
         let root = tracer.open("boost_search.pass", None);
@@ -277,10 +276,6 @@ impl Workload for BoostSearch {
                                 solution.throughput(&timing),
                             ));
                         });
-                    let (screen, _) = tracer.time("analysis.screen_schedule", Some(root), || {
-                        screen_schedule(&config, m, &timing)
-                    });
-                    screen.map_err(|e| e.to_string())?;
                     let useful = dist
                         .cdf
                         .iter()
@@ -333,6 +328,7 @@ impl Workload for BoostSearch {
         Ok(Traced {
             output: pass,
             layers,
+            job_s: run_s,
             registry,
         })
     }

@@ -11,9 +11,10 @@
 //!
 //! A run repeats passes of one workload for a time budget and reports
 //! end-to-end metrics with tracing off ([`E2E_METRICS`]). A traced run
-//! (`--trace 1`) measures untraced passes for half the budget and traced
-//! passes for the other half, and reports per-layer metrics
-//! ([`LAYER_METRICS`]) plus `obs.trace_overhead`. Every program input
+//! (`--trace 1`) measures untraced passes for a third of the budget, then
+//! alternates serial untraced passes with traced passes of the same
+//! schedule, and reports per-layer metrics ([`LAYER_METRICS`]) plus
+//! `obs.trace_overhead`. Every program input
 //! derives from the workload seed, and every run checks its outputs
 //! against references computed outside the timed region.
 
@@ -87,9 +88,11 @@ pub const LAYER_METRICS: [(&str, &str); 39] = [
     ("obs.trace_overhead", "ratio"),
 ];
 
-/// Set-ups averaged into one `setup_s` sample, so that microsecond
-/// set-ups are timed well above the clock's resolution.
-const SETUP_BATCH: usize = 20;
+/// Least host time one `setup_s` sample covers: set-ups are repeated
+/// until it is spent and the sample is their mean. Microsecond set-ups
+/// are then timed well above the clock's resolution, and a sample spans
+/// the host's short fast and slow spells instead of landing in one.
+const SETUP_SAMPLE_SECS: f64 = 0.05;
 /// Fewest passes a measuring phase runs, whatever the time budget.
 const MIN_PASSES: usize = 3;
 
@@ -131,8 +134,21 @@ pub struct Traced<O> {
     pub output: O,
     /// Per-layer metrics of this pass.
     pub layers: Vec<(&'static str, f64)>,
+    /// Host seconds of the spans that run the
+    /// [`serial_pass`](Workload::serial_pass) schedule, traced; the
+    /// numerator of `obs.trace_overhead`.
+    pub job_s: f64,
     /// The registry the pass's layers recorded into.
     pub registry: plc_obs::Registry,
+}
+
+/// Untraced timings a traced pass compares itself with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Untraced {
+    /// Median host seconds of the run's untraced passes.
+    pub pass_s: f64,
+    /// Host seconds of the serial pass run just before the traced one.
+    pub serial_s: f64,
 }
 
 /// How a run condenses its pass times into `wall_s`.
@@ -166,23 +182,28 @@ pub trait Workload {
     /// The pass-time statistic reported as `wall_s`: the one whose
     /// run-to-run spread is smallest for this workload (see the README).
     fn wall_statistic(&self) -> PassStatistic {
-        PassStatistic::Fastest
+        PassStatistic::Median
     }
     /// Build every input from `seed` (timed as `setup_s`).
     fn setup(&self, seed: u64, work_dir: &Path) -> Result<Self::Inputs, String>;
     /// One pass of the user's job (timed as `wall_s`). `index` numbers
     /// the passes of a run.
     fn pass(&self, inputs: &Self::Inputs, index: usize) -> Result<Self::Output, String>;
+    /// The schedule a traced pass runs (one call at a time where the
+    /// traced pass times calls one by one), without spans or the
+    /// registries tracing adds: the denominator of `obs.trace_overhead`.
+    fn serial_pass(&self, inputs: &Self::Inputs, index: usize) -> Result<Self::Output, String> {
+        self.pass(inputs, index)
+    }
     /// One pass with spans recorded around the calls into each layer and
     /// registries attached where the API accepts one. Produces the same
-    /// output as [`pass`](Workload::pass) plus per-layer metrics;
-    /// `untraced_wall_s` is the run's `wall_s`.
+    /// output as [`pass`](Workload::pass) plus per-layer metrics.
     fn traced_pass(
         &self,
         inputs: &Self::Inputs,
         index: usize,
         tracer: &mut Tracer,
-        untraced_wall_s: f64,
+        untraced: Untraced,
     ) -> Result<Traced<Self::Output>, String>;
     /// Canonical bytes, operation count and per-pass checks.
     fn settle(&self, inputs: &Self::Inputs, output: &Self::Output) -> Result<Settled, String>;
@@ -467,33 +488,40 @@ pub fn measure<W: Workload>(workload: &W, opts: &Options) -> Result<Report, Stri
 
     // Set-up samples are spread over the run, one before each untraced
     // pass, so that `setup_s` sees the same host conditions as `wall_s`.
+    // A sample repeats set-ups (each dropping the inputs before it) for
+    // at least `SETUP_SAMPLE_SECS`.
     let setup_sample = || -> Result<(f64, W::Inputs), String> {
         let t = Instant::now();
         let mut built = workload.setup(opts.seed, &work_dir)?;
-        for _ in 1..SETUP_BATCH {
+        let mut count = 1u32;
+        while t.elapsed().as_secs_f64() < SETUP_SAMPLE_SECS {
             drop(built);
             built = workload.setup(opts.seed, &work_dir)?;
+            count += 1;
         }
-        Ok((t.elapsed().as_secs_f64() / SETUP_BATCH as f64, built))
+        Ok((t.elapsed().as_secs_f64() / f64::from(count), built))
     };
     let (first_setup, inputs) = setup_sample()?;
     let mut setup_times = vec![first_setup];
 
+    // A traced run gives a third of its budget to the untraced passes
+    // behind `wall_s` and the rest to serial and traced pass pairs.
     let budget = if opts.trace {
-        opts.seconds / 2.0
+        opts.seconds / 3.0
     } else {
         opts.seconds
     };
     let mut untraced = Phase::new();
     let mut first_output = None;
-    let mut spent = 0.0;
-    while untraced.times.len() < MIN_PASSES || spent < budget {
+    // The budget covers everything a phase does: set-ups, passes and
+    // settling them.
+    let start = Instant::now();
+    while untraced.times.len() < MIN_PASSES || start.elapsed().as_secs_f64() < budget {
         setup_times.push(setup_sample()?.0);
         let index = untraced.times.len();
         let t = Instant::now();
         let output = workload.pass(&inputs, index);
         let secs = t.elapsed().as_secs_f64();
-        spent += secs;
         untraced.times.push(secs);
         match output {
             Ok(output) => {
@@ -550,27 +578,48 @@ pub fn measure<W: Workload>(workload: &W, opts: &Options) -> Result<Report, Stri
     problems.extend(verification.problems.iter().cloned());
 
     let mut metrics: Vec<Metric> = if opts.trace {
+        // Serial untraced and traced passes alternate, so both see the
+        // same host conditions; `obs.trace_overhead` compares the traced
+        // passes' job spans with the serial passes.
+        let reference = untraced.first_canonical.as_deref();
+        let mut serial = Phase::new();
         let mut traced = Phase::new();
+        let mut job_times = Vec::new();
         let mut tracer = Tracer::default();
         let mut layer_samples: Vec<Vec<(&'static str, f64)>> = Vec::new();
         let mut registry_json = String::new();
-        let mut spent = 0.0;
-        while traced.times.len() < MIN_PASSES || spent < budget {
-            let index = untraced.times.len() + traced.times.len();
+        let start = Instant::now();
+        while traced.times.len() < MIN_PASSES || start.elapsed().as_secs_f64() < 2.0 * budget {
+            let index = untraced.times.len() + serial.times.len() + traced.times.len();
+            let t = Instant::now();
+            let result = workload.serial_pass(&inputs, index);
+            let serial_s = t.elapsed().as_secs_f64();
+            serial.times.push(serial_s);
+            match result {
+                Ok(output) => {
+                    serial.settle(workload.settle(&inputs, &output), reference);
+                    workload.release(output);
+                }
+                Err(e) => {
+                    serial.fail(e);
+                    break;
+                }
+            }
+
             tracer.clear();
             let t = Instant::now();
-            let result = workload.traced_pass(&inputs, index, &mut tracer, wall_s);
-            let secs = t.elapsed().as_secs_f64();
-            spent += secs;
-            traced.times.push(secs);
+            let untraced = Untraced {
+                pass_s: wall.median,
+                serial_s,
+            };
+            let result = workload.traced_pass(&inputs, index + 1, &mut tracer, untraced);
+            traced.times.push(t.elapsed().as_secs_f64());
             match result {
                 Ok(pass) => {
-                    traced.settle(
-                        workload.settle(&inputs, &pass.output),
-                        untraced.first_canonical.as_deref(),
-                    );
+                    traced.settle(workload.settle(&inputs, &pass.output), reference);
                     workload.release(pass.output);
                     layer_samples.push(pass.layers);
+                    job_times.push(pass.job_s);
                     registry_json = pass.registry.to_json();
                 }
                 Err(e) => {
@@ -579,11 +628,16 @@ pub fn measure<W: Workload>(workload: &W, opts: &Options) -> Result<Report, Stri
                 }
             }
         }
-        let traced_wall = TimingSummary::of(&traced.times);
-        details.push(traced_wall.render("traced_wall_s"));
-        attempted += traced.attempted;
-        failed += traced.failed;
-        problems.extend(traced.problems);
+        let serial_wall = TimingSummary::of(&serial.times);
+        let traced_job = TimingSummary::of(&job_times);
+        details.push(serial_wall.render("serial_wall_s"));
+        details.push(traced_job.render("traced_job_s"));
+        details.push(TimingSummary::of(&traced.times).render("traced_wall_s"));
+        for phase in [serial, traced] {
+            attempted += phase.attempted;
+            failed += phase.failed;
+            problems.extend(phase.problems);
+        }
         let stem = opts
             .out_dir
             .join(format!("{}-seed{}", workload.name(), opts.seed));
@@ -593,10 +647,7 @@ pub fn measure<W: Workload>(workload: &W, opts: &Options) -> Result<Report, Stri
         if let Some(slots) = verification.sim_slots {
             extra.push(("sim.sweep.slots_per_s", slots as f64 / wall_s));
         }
-        extra.push((
-            "obs.trace_overhead",
-            workload.wall_statistic().of(&traced_wall) / wall_s,
-        ));
+        extra.push(("obs.trace_overhead", traced_job.median / serial_wall.median));
         layer_metrics(&layer_samples, &extra)?
     } else {
         [

@@ -6,7 +6,7 @@
 //! the wire-event firmware sink and the MME bus with ampstat.
 
 use crate::trace::Tracer;
-use crate::{check_with_planted, PassStatistic, Settled, Traced, Verification, Workload};
+use crate::{check_with_planted, Settled, Traced, Untraced, Verification, Workload};
 use plc_obs::Registry;
 use plc_sim::sweep::{default_workers, derive_seed, parallel_map};
 use plc_sim::Simulation;
@@ -96,13 +96,6 @@ impl Workload for TestbedFigure2 {
         "testbed_figure2"
     }
 
-    /// Passes of this workload run at the host's uncontended speed only
-    /// in rare short episodes, so the fastest pass depends on whether a
-    /// run met one; the median pass is the steadier statistic.
-    fn wall_statistic(&self) -> PassStatistic {
-        PassStatistic::Median
-    }
-
     fn setup(&self, seed: u64, _work_dir: &Path) -> Result<Self::Inputs, String> {
         Ok((1..=self.max_n)
             .rev()
@@ -126,12 +119,21 @@ impl Workload for TestbedFigure2 {
         ))
     }
 
+    /// The tests one at a time, as the traced pass runs them, with no
+    /// registry.
+    fn serial_pass(&self, inputs: &Self::Inputs, _index: usize) -> Result<Self::Output, String> {
+        Ok(inputs
+            .iter()
+            .map(|e| e.run().map_err(|err| err.to_string()))
+            .collect())
+    }
+
     fn traced_pass(
         &self,
         inputs: &Self::Inputs,
         _index: usize,
         tracer: &mut Tracer,
-        _untraced_wall_s: f64,
+        _untraced: Untraced,
     ) -> Result<Traced<Self::Output>, String> {
         let registry = Registry::new();
         let root = tracer.open("testbed_figure2.pass", None);
@@ -179,6 +181,7 @@ impl Workload for TestbedFigure2 {
         Ok(Traced {
             output: outcomes,
             layers,
+            job_s: test_s,
             registry,
         })
     }

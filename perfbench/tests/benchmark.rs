@@ -45,6 +45,24 @@ fn names(outcome: &Outcome) -> Vec<&str> {
     outcome.metrics.iter().map(|m| m.name.as_str()).collect()
 }
 
+/// Metric-name prefixes of the layers each workload runs.
+fn layers_run(workload: &str) -> &'static [&'static str] {
+    match workload {
+        "slotted_sweep" => &["sim.engine.", "sim.sweep."],
+        "boost_search" => &["analysis.", "boost.", "jobs.points_done", "jobs.flush"],
+        "testbed_figure2" => &["sim.multiclass.", "testbed."],
+        other => panic!("unknown workload {other}"),
+    }
+}
+
+/// Layer metrics that count faults, so a healthy run reads 0: SoA
+/// contention-core fallbacks, retried job points and MME retries.
+const FAULT_COUNTS: [&str; 3] = [
+    "sim.engine.soa_fallbacks",
+    "jobs.points_retried",
+    "testbed.mme.retries",
+];
+
 #[test]
 fn every_workload_runs_correctly_at_tiny_size() {
     for w in WORKLOADS {
@@ -58,6 +76,12 @@ fn every_workload_runs_correctly_at_tiny_size() {
         let overhead = &traced.metrics[LAYER_METRICS.len() - 1];
         assert_eq!(overhead.name, "obs.trace_overhead");
         assert!(overhead.value > 0.0);
+        for m in &traced.metrics {
+            let run = layers_run(w).iter().any(|p| m.name.starts_with(p));
+            if run && !FAULT_COUNTS.contains(&m.name.as_str()) {
+                assert!(m.value > 0.0, "{w}: {} reads {}", m.name, m.value);
+            }
+        }
     }
 }
 
@@ -74,9 +98,11 @@ fn traced_run_writes_chrome_trace_and_registry() {
     };
     // One root span plus one span per grid point.
     assert_eq!(events.len(), 1 + 4 * SlottedSweep::tiny().stations.len());
+    // The registry attached to the grid's templates reaches the engines.
     let registry =
         std::fs::read_to_string(o.out_dir.join("slotted_sweep-seed4.registry.json")).unwrap();
-    assert!(registry.contains("engine.steps"));
+    let snapshot: plc_obs::RegistrySnapshot = serde_json::from_str(&registry).unwrap();
+    assert!(snapshot.counter("engine.steps").unwrap_or(0) > 0);
 }
 
 #[test]
