@@ -35,9 +35,28 @@
 //! station into an absorbing DTMC (absorption = successful attempt),
 //! whose absorption-time distribution is the per-packet access delay in
 //! decision slots. [`access_delay_distribution`] walks it slot by slot;
-//! [`delay_summary`] converts to microseconds using the tagged station's
-//! expected slot duration and extracts quantiles — this is what the
-//! `MeanField` engine backend reports.
+//! [`delay_summary`] folds the same walk into its mean and quantiles as
+//! it goes and converts to microseconds using the tagged station's
+//! expected slot duration — this is what the `MeanField` engine backend
+//! reports.
+//!
+//! ## Subnormal flush
+//!
+//! After every slot, any stage mass whose magnitude is below
+//! `f64::MIN_POSITIVE` (a subnormal) is set to exactly 0. Without the
+//! flush a stage that stops receiving inflow decays into the subnormal
+//! range and sticks there: the smallest subnormal times any stay factor
+//! above 0.5 rounds back to itself, and subnormal arithmetic costs
+//! 15–30× a normal slot. Each flush drops less than 2.3·10⁻³⁰⁸, so over
+//! a 10⁵-slot walk every mass moves by less than 10⁻³⁰². The absorbed
+//! mass after the first slot is `a₀ · (1 − p)`, with `a₀ ≥ 1/W₀²` and
+//! `1 − p` either 0 or at least 2⁻⁵³, so while anything is absorbed it
+//! exceeds 2⁻¹¹⁷ ≈ 6·10⁻³⁶ for any `u32` window, and the flushed
+//! amounts sit far below its last bit: the CDF, the mean, the truncated
+//! mass and the quantiles are bit-identical to the unflushed walk, and
+//! a `pmf` entry can move by less than 10⁻³⁰². Once every stage mass is
+//! 0, or `1 − p` is 0, no slot can absorb anything and the walk stops;
+//! each slot it skips would add exactly `+0.0`.
 
 use crate::math::bisect_decreasing_iters;
 use crate::model1901::stage_quantities_for;
@@ -245,22 +264,59 @@ pub struct DelayDistribution {
     pub truncated_mass: f64,
 }
 
-/// Walk the absorbing stage DTMC for `max_slots` slots.
-pub fn access_delay_distribution(
+/// What one walk of the delay DTMC absorbed.
+#[derive(Debug)]
+struct WalkTotals {
+    /// Slots walked: `max_slots`, or fewer after an exact early end.
+    slots: usize,
+    /// Mass absorbed within the walked slots.
+    absorbed: f64,
+    /// `Σ t · P(delay = t)` over the walked slots.
+    mean_num: f64,
+}
+
+impl WalkTotals {
+    /// Mean delay in slots, conditioned on absorption within the walk.
+    fn mean_slots(&self) -> f64 {
+        if self.absorbed > 0.0 {
+            self.mean_num / self.absorbed
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Probability mass beyond the walk.
+    fn truncated_mass(&self) -> f64 {
+        (1.0 - self.absorbed).max(0.0)
+    }
+}
+
+/// Walk the absorbing stage DTMC of one tagged station at frozen busy
+/// probability `p` for up to `max_slots` slots, calling
+/// `on_slot(t, absorbed_in_t, absorbed_so_far, stage_masses)` after
+/// every walked slot `t`. Both [`access_delay_distribution`] and
+/// [`delay_summary`] run this walk. Two stage buffers are swapped every
+/// slot, so it allocates only up front; the subnormal flush and the
+/// exact early end are described in the module docs.
+fn walk_delay_chain(
     config: &CsmaConfig,
     p: f64,
     max_slots: usize,
-) -> DelayDistribution {
+    mut on_slot: impl FnMut(usize, f64, f64, &[f64]),
+) -> WalkTotals {
     let haz = hazards(config, p);
     let m = haz.len();
     let mut pi = vec![0.0; m];
+    let mut next = vec![0.0; m];
     pi[0] = 1.0;
-    let mut pmf = Vec::with_capacity(max_slots);
-    let mut cdf = Vec::with_capacity(max_slots);
-    let mut absorbed = 0.0;
-    let mut mean_num = 0.0;
-    for t in 1..=max_slots {
-        let mut next = vec![0.0; m];
+    let mut totals = WalkTotals {
+        slots: 0,
+        absorbed: 0.0,
+        mean_num: 0.0,
+    };
+    let mut live = 1.0 - p != 0.0;
+    while live && totals.slots < max_slots {
+        next.fill(0.0);
         let mut succ = 0.0;
         for (i, &(a, j)) in haz.iter().enumerate() {
             let nxt = (i + 1).min(m - 1);
@@ -268,21 +324,43 @@ pub fn access_delay_distribution(
             next[nxt] += pi[i] * (a * p + j);
             next[i] += pi[i] * (1.0 - a - j);
         }
-        pi = next;
-        absorbed += succ;
-        mean_num += t as f64 * succ;
+        std::mem::swap(&mut pi, &mut next);
+        live = false;
+        for v in &mut pi {
+            if v.abs() < f64::MIN_POSITIVE {
+                *v = 0.0;
+            } else {
+                live = true;
+            }
+        }
+        totals.slots += 1;
+        totals.absorbed += succ;
+        totals.mean_num += totals.slots as f64 * succ;
+        on_slot(totals.slots, succ, totals.absorbed, &pi);
+    }
+    totals
+}
+
+/// Walk the absorbing stage DTMC for `max_slots` slots.
+pub fn access_delay_distribution(
+    config: &CsmaConfig,
+    p: f64,
+    max_slots: usize,
+) -> DelayDistribution {
+    let mut pmf = Vec::with_capacity(max_slots);
+    let mut cdf = Vec::with_capacity(max_slots);
+    let walk = walk_delay_chain(config, p, max_slots, |t, succ, absorbed, _| {
         pmf.push(succ);
         cdf.push((t as f64, absorbed));
-    }
+    });
+    // Past an early end every slot absorbs exactly nothing.
+    pmf.resize(max_slots, 0.0);
+    cdf.extend((walk.slots + 1..=max_slots).map(|t| (t as f64, walk.absorbed)));
     DelayDistribution {
         pmf,
         cdf,
-        mean_slots: if absorbed > 0.0 {
-            mean_num / absorbed
-        } else {
-            f64::INFINITY
-        },
-        truncated_mass: (1.0 - absorbed).max(0.0),
+        mean_slots: walk.mean_slots(),
+        truncated_mass: walk.truncated_mass(),
     }
 }
 
@@ -339,16 +417,28 @@ pub fn delay_summary(
     timing: &MacTiming,
     max_slots: usize,
 ) -> DelaySummary {
-    let dist = access_delay_distribution(config, p, max_slots);
+    const QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
+    // Each quantile is the first walked slot whose CDF reaches it, the
+    // rule of `plc_stats::quantile_from_cdf`.
+    let mut quantiles = [None; 3];
+    let walk = walk_delay_chain(config, p, max_slots, |t, _, absorbed, _| {
+        for (slot, q) in quantiles.iter_mut().zip(QUANTILES) {
+            if slot.is_none() && absorbed >= q {
+                *slot = Some(t as f64);
+            }
+        }
+    });
+    let [p50_slots, p90_slots, p99_slots] = quantiles;
+    let mean_slots = walk.mean_slots();
     let slot_us = tagged_slot_duration_us(tau, n, timing);
     DelaySummary {
-        mean_slots: dist.mean_slots,
-        p50_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.5),
-        p90_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.9),
-        p99_slots: plc_stats::quantile_from_cdf(&dist.cdf, 0.99),
+        mean_slots,
+        p50_slots,
+        p90_slots,
+        p99_slots,
         slot_us,
-        mean_us: dist.mean_slots * slot_us,
-        truncated_mass: dist.truncated_mass,
+        mean_us: mean_slots * slot_us,
+        truncated_mass: walk.truncated_mass(),
     }
 }
 
@@ -356,6 +446,7 @@ pub fn delay_summary(
 mod tests {
     use super::*;
     use crate::meanfield::MeanFieldModel;
+    use plc_core::config::DC_DISABLED;
 
     fn ca1() -> CsmaConfig {
         CsmaConfig::ieee1901_ca01()
@@ -464,6 +555,57 @@ mod tests {
             s.mean_slots,
             c.mean_access_delay_slots
         );
+    }
+
+    #[test]
+    fn capped_walk_never_holds_a_subnormal_mass() {
+        // `cw4-g1-dcoff` of the default boost space at N = 30: stages
+        // 0–2 get no inflow and decay to nothing while stage 3 keeps
+        // most of the mass past the 10⁵-slot cap.
+        let config = CsmaConfig::from_vectors(&[4; 4], &[DC_DISABLED; 4]).unwrap();
+        let sol = MeanFieldModel::single(config.clone(), 30).solve().unwrap();
+        let p = sol.classes[0].collision_probability;
+        let walk = walk_delay_chain(&config, p, 100_000, |t, _, _, pi| {
+            assert!(
+                pi.iter().all(|v| !v.is_subnormal()),
+                "subnormal stage mass at slot {t}: {pi:?}"
+            );
+            if t == 100_000 {
+                assert_eq!(pi[..3], [0.0; 3], "drained stages are flushed to 0");
+            }
+        });
+        assert_eq!(walk.slots, 100_000);
+        // The `cw4-g1-dcoff 30` row of tests/golden/delay_summary_bits.txt.
+        assert_eq!(walk.truncated_mass().to_bits(), 0x3fef_8826_46cc_684f);
+    }
+
+    #[test]
+    fn walk_stops_exactly_once_nothing_can_be_absorbed() {
+        // A lone station drains every stage: after a few thousand slots
+        // all masses flush to 0 and the walk ends, while the
+        // distribution still reports one entry per requested slot.
+        let walk = walk_delay_chain(&ca1(), 0.0, 4000, |_, _, _, _| {});
+        let drained = walk.slots;
+        assert!(drained < 4000, "still live after {drained} slots");
+        let dist = access_delay_distribution(&ca1(), 0.0, 4000);
+        assert_eq!(dist.pmf.len(), 4000);
+        assert_eq!(dist.cdf.len(), 4000);
+        assert!(dist.pmf[drained..].iter().all(|&v| v.to_bits() == 0));
+        for (t, &(slots, absorbed)) in dist.cdf.iter().enumerate().skip(drained) {
+            assert_eq!(slots, (t + 1) as f64);
+            assert_eq!(absorbed.to_bits(), walk.absorbed.to_bits());
+        }
+
+        // At fleet scale p rounds to exactly 1: no slot can absorb.
+        let sol = MeanFieldModel::single(ca1(), 10_000).solve().unwrap();
+        let p = sol.classes[0].collision_probability;
+        assert_eq!(p, 1.0);
+        assert_eq!(walk_delay_chain(&ca1(), p, 1000, |_, _, _, _| {}).slots, 0);
+        let dist = access_delay_distribution(&ca1(), p, 1000);
+        assert_eq!(dist.cdf.len(), 1000);
+        assert!(dist.cdf.iter().all(|&(_, absorbed)| absorbed == 0.0));
+        assert_eq!(dist.mean_slots, f64::INFINITY);
+        assert_eq!(dist.truncated_mass, 1.0);
     }
 
     #[test]

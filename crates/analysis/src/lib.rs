@@ -33,8 +33,12 @@
 //! * [`boost`] — parameter-space search for throughput-optimal (CW, DC)
 //!   tables, the "boosting" use case.
 //!
-//! Everything is deterministic, allocation-light and fast: one fixed-point
-//! solve is microseconds, so whole parameter sweeps run interactively.
+//! Everything is deterministic, allocation-light and fast, so whole
+//! parameter sweeps run interactively. Over the 275 screen evaluations
+//! of the `plc-boost` default space and portfolio (2-vCPU x86-64 host,
+//! release build) one fixed-point solve takes about 30 µs at the median
+//! and 4–5 ms at the worst, and one delay walk about 0.1 ms at the
+//! median and 4 ms at the worst.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

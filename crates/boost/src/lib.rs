@@ -15,9 +15,10 @@
 //!   one cherry-picked operating point;
 //! * [`BoostRun`] — successive halving: an analytic **screen** (the
 //!   `Backend::MeanField` fixed point + delay DTMC via
-//!   [`plc_analysis::screen_schedule`]) prunes the space for
-//!   microseconds per candidate, then slotted **confirm rungs** with
-//!   4×-growing horizons run the survivors through crash-tolerant
+//!   [`plc_analysis::screen_schedule`]) prunes the space for about
+//!   1 ms per candidate (the default space screens in 0.13–0.2 s),
+//!   then slotted **confirm rungs** with 4×-growing horizons run the
+//!   survivors through crash-tolerant
 //!   [`plc_jobs::JobGroup`]s and halve the field by aggregate score
 //!   after each rung;
 //! * the verdict is a **Pareto front** over (throughput ↑, Jain

@@ -8,10 +8,14 @@
 //! (`plc_analysis::meanfield`) and *synthesizes* a [`SimReport`] with the
 //! same schema, so sweeps, JSON export and experiments run unchanged on
 //! either backend. The mean-field run is deterministic (the seed is
-//! ignored) and costs microseconds regardless of `N` or the horizon —
-//! that is the point: fleet-scale sweeps (10⁴–10⁶ stations) in the time
-//! one slotted replication takes, at the documented accuracy envelope
-//! (`plc_analysis::meanfield::gamma_tolerance`).
+//! ignored) and its cost does not grow with the horizon: for CA1 on a
+//! 2-vCPU x86-64 host (release build) it takes about 50 µs at N = 5,
+//! 3 ms at N = 1000 (the delay walk runs its full 10⁵ slots), 0.1 ms at
+//! N = 10⁴ (`p` rounds to 1, so the walk stops at once) and 80 ms at
+//! N = 10⁶, almost all of it filling the per-station report vectors.
+//! That is the point: fleet-scale sweeps (10⁴–10⁶ stations) in
+//! the time one slotted replication takes, at the documented accuracy
+//! envelope (`plc_analysis::meanfield::gamma_tolerance`).
 //!
 //! ## What the synthesized report contains
 //!
