@@ -50,7 +50,7 @@ pub struct PortfolioScenario {
 
 impl PortfolioScenario {
     /// The simulation template confirm rungs sweep for `config` — the
-    /// grid substitutes each station count via `num_stations`, which
+    /// sweep grid restamps each station count onto it, which
     /// preserves the cell layout for [`ScenarioKind::Cells`].
     pub fn template(&self, config: &CsmaConfig, horizon_us: f64) -> Simulation {
         let sim = Simulation::ieee1901(1)
@@ -184,7 +184,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // num_stations: the sweep grid does this swap internally
     fn cells_screen_per_cell_and_templates_build() {
         let p = Portfolio::default_portfolio();
         let cells = &p.scenarios[2];
@@ -192,13 +191,17 @@ mod tests {
         assert_eq!(p.scenarios[0].screen_n(30), 30);
         let cfg = CsmaConfig::ieee1901_ca01();
         for s in &p.scenarios {
-            // A template must actually run after num_stations swaps.
-            let report = s
-                .template(&cfg, 5.0e4)
-                .num_stations(s.stations[0])
-                .try_run()
-                .expect("portfolio template runs");
-            assert!(report.norm_throughput >= 0.0);
+            // A template must actually run once the sweep grid restamps
+            // its station count, as the confirm rungs do.
+            let point = plc_sim::SweepGrid::new(1)
+                .config(&s.name, s.template(&cfg, 5.0e4))
+                .stations([s.stations[0]])
+                .run_point_at(0)
+                .expect("one-point grid");
+            assert!(
+                matches!(point, plc_sim::SweepPointResult::Ok(_)),
+                "portfolio template runs: {point:?}"
+            );
         }
     }
 }

@@ -71,7 +71,7 @@ impl BackoffProcess for AnyBackoff {
         delegate!(self, b => b.consume_idle_slots(n))
     }
 
-    fn soa_view(&self) -> Option<SoaView> {
+    fn soa_view(&self) -> SoaView {
         delegate!(self, b => b.soa_view())
     }
 

@@ -169,8 +169,8 @@ impl BackoffProcess for Backoff1901 {
         self.bc -= n;
     }
 
-    fn soa_view(&self) -> Option<SoaView> {
-        Some(SoaView {
+    fn soa_view(&self) -> SoaView {
+        SoaView {
             protocol: Protocol::Ieee1901,
             stages: self
                 .cfg
@@ -184,7 +184,7 @@ impl BackoffProcess for Backoff1901 {
                 bpc: self.bpc,
                 stage: self.stage() as u32,
             },
-        })
+        }
     }
 
     fn protocol(&self) -> Protocol {

@@ -117,8 +117,8 @@ impl BackoffProcess for BackoffDcf {
         self.bc -= n;
     }
 
-    fn soa_view(&self) -> Option<SoaView> {
-        Some(SoaView {
+    fn soa_view(&self) -> SoaView {
+        SoaView {
             protocol: Protocol::Dcf80211,
             stages: self
                 .cfg
@@ -135,7 +135,7 @@ impl BackoffProcess for BackoffDcf {
                 bpc: self.retries,
                 stage: self.stage as u32,
             },
-        })
+        }
     }
 
     fn protocol(&self) -> Protocol {

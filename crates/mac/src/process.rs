@@ -184,20 +184,19 @@ pub trait BackoffProcess {
         );
     }
 
-    /// Export the full contention state as a [`SoaView`] so an engine can
-    /// move it into parallel arrays. `None` (the default) opts out and
-    /// keeps the engine on the per-object slot-event path.
+    /// Export the full contention state as a [`SoaView`]. `plc-sim`'s
+    /// slotted engine reads this once, at construction, and runs every
+    /// later transition on its own struct-of-arrays copy; the process
+    /// object itself is never called again.
     ///
     /// # Contract
     ///
-    /// A process returning `Some` asserts that the view captures *all* of
-    /// its state: an engine replaying [`Protocol`] slot semantics over the
-    /// exported counters — with redraws taken from the same RNG stream in
-    /// the same order — produces bit-identical traces to calling the slot
-    ///-event methods on the object itself.
-    fn soa_view(&self) -> Option<SoaView> {
-        None
-    }
+    /// The view captures *all* of the process's state: an engine
+    /// replaying [`Protocol`] slot semantics over the exported counters —
+    /// with redraws taken from the same RNG stream in the same order —
+    /// produces bit-identical traces to calling the slot-event methods on
+    /// the object itself.
+    fn soa_view(&self) -> SoaView;
 
     /// Which protocol this process implements.
     fn protocol(&self) -> Protocol;

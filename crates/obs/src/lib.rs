@@ -21,7 +21,7 @@
 //! byte-level sweep JSON — are identical with or without them.
 //!
 //! Names are dotted and owned by the instrumented layer: `engine.*`
-//! (steps, steps_skipped, soa_fallbacks), `sweep.*`, `meanfield.*`
+//! (steps, steps_skipped), `sweep.*`, `meanfield.*`
 //! (solves, stations), `multidomain.*` (cells, components, jammed_tx,
 //! sensed_defers) and `exp.*` phase timers. Sharded work merges
 //! per-shard registries in shard order ([`Registry::merge_from`]), so

@@ -1,15 +1,20 @@
-//! Struct-of-arrays contention core: the engine's busy-slot hot path.
+//! Struct-of-arrays contention core: the engine's only contention state.
 //!
-//! [`SlottedEngine`](crate::engine::SlottedEngine) is generic over
+//! [`SlottedEngine`](crate::engine::SlottedEngine) is built from
 //! [`BackoffProcess`](plc_mac::process::BackoffProcess) objects, which is
 //! the right shape for correctness and protocol ablations but the wrong
 //! shape for a saturated medium: a busy slot must touch *every* backlogged
-//! station's BC/DC, and walking a `Vec<StationCtx>` of ~100-byte structs
-//! costs several cache lines per station plus an enum dispatch per event.
-//! When every station's process exports a
-//! [`SoaView`](plc_mac::process::SoaView), the engine moves the counters
-//! into this core's parallel arrays and the busy-slot pass becomes a
-//! branch-light sweep over a few contiguous bytes per station.
+//! station's BC/DC, and walking per-station objects costs several cache
+//! lines per station plus an enum dispatch per event. So the engine asks
+//! every process for its [`SoaView`](plc_mac::process::SoaView) at
+//! construction, packs the counters into this core's parallel arrays,
+//! and never calls the process objects again: every idle, busy, success,
+//! collision and arrival transition is one of the sweeps below, a
+//! branch-light pass over a few contiguous bytes per station.
+//!
+//! Invariant: every station is packed into the core, or engine
+//! construction fails with the [`CoreRejection`] as a typed
+//! `InvalidConfig` error. There is no fallback path.
 //!
 //! # Memory layout
 //!
@@ -24,9 +29,9 @@
 //! ```
 //!
 //! Stage and BPC live in separate arrays — they are only touched on
-//! redraws, not on every slot. `from_views` rejects populations whose
-//! CW/DC values don't fit the packed layout (CW > 2¹⁶, DC ≥ 2¹⁶ − 1 yet
-//! not disabled), in which case the engine stays on the per-object path.
+//! redraws, not on every slot. `try_from_views` rejects populations
+//! whose CW/DC values don't fit the packed layout (CW > 2¹⁶, DC ≥ 2¹⁶ − 1
+//! yet not disabled, more than 256 stages).
 //!
 //! On top of the layout, the all-backlogged single-class IEEE 1901
 //! population — the saturated benchmark regime — takes a specialized
@@ -35,21 +40,22 @@
 //!
 //! # Draw-order contract
 //!
-//! Bit-identity with the per-object path rests on two facts, both pinned
-//! by the `soa_equivalence` test suite:
+//! Bit-identity with the `plc-mac` process objects rests on two facts,
+//! both pinned transition by transition by this module's `mirror_slots`
+//! tests:
 //!
 //! * the vendored `gen_range(0..cw)` consumes exactly one `next_u64` and
 //!   maps it with the Lemire multiply-shift `((x · cw) >> 64)` — no
 //!   rejection loop, so the word count per redraw is fixed;
-//! * every station loop in the engine mutates (and therefore redraws) in
-//!   ascending station order.
+//! * the process-object semantics mutate (and therefore redraw) stations
+//!   in ascending station order.
 //!
 //! A sweep therefore runs in two passes: pass 1 walks stations in
 //! ascending order and *decides* who redraws (queueing `(station, cw)`
 //! pairs), pass 2 pre-fills the draw buffer from the engine RNG — one
 //! `next_u64` per queued redraw, in queue order — and applies the same
 //! multiply-shift. The resulting stream consumption is word-for-word what
-//! the per-object path would have drawn.
+//! calling the process objects in station order would have drawn.
 //!
 //! The fast-forward contention cache (`zero` set + min positive BC) is
 //! folded *inside* the sweeps (`TRACK = true`): stations whose BC is
@@ -103,7 +109,8 @@ pub(crate) struct ContentionCore {
     n: usize,
     /// Packed per-station `BC | DC << 16` words (see the module docs).
     /// `u16` BC is exact: `CsmaConfig` caps CW at 2¹⁶, so every draw
-    /// from `0..cw` fits (checked again in [`from_views`]).
+    /// from `0..cw` fits (checked again in
+    /// [`try_from_views`](Self::try_from_views)).
     bcdc: Vec<u32>,
     /// 1901: raw BPC (one past the stage in effect). DCF: retry count.
     /// Only touched on redraws — deliberately outside the packed word.
@@ -160,7 +167,7 @@ fn merge_zero(zero: &mut Vec<StationId>, extra: &[StationId], buf: &mut Vec<Stat
 }
 
 /// Map a view's DC value into the packed 16-bit domain, or `None` when
-/// it doesn't fit (the core then stays unused).
+/// it doesn't fit (the engine then refuses the configuration).
 #[inline]
 fn dc16_of(dc: u32) -> Option<u32> {
     if dc == DC_DISABLED {
@@ -173,12 +180,12 @@ fn dc16_of(dc: u32) -> Option<u32> {
 }
 
 /// Why a station population cannot be hosted in the packed
-/// struct-of-arrays core. The engine then falls back to the per-object
-/// path — results are identical, only the busy-slot sweep is slower —
-/// and surfaces the reason through
-/// [`SlottedEngine::soa_rejection`](crate::engine::SlottedEngine::soa_rejection)
-/// plus the `engine.soa_fallbacks` observability counter, instead of
-/// silently degrading.
+/// struct-of-arrays core. The engine has no other contention path, so
+/// [`SlottedEngine::try_new`](crate::engine::SlottedEngine::try_new)
+/// returns the rejection as [`to_error`](CoreRejection::to_error)'s
+/// `InvalidConfig` error. `CsmaConfig` admits such tables: a deferral
+/// counter of `0xFFFF` or more that is not disabled, or more than 256
+/// stages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CoreRejection {
@@ -266,8 +273,8 @@ impl std::fmt::Display for CoreRejection {
 }
 
 impl CoreRejection {
-    /// The rejection as a typed configuration error, for callers that
-    /// treat an engaged-but-unavailable core as fatal.
+    /// The rejection as the typed configuration error engine
+    /// construction returns.
     pub fn to_error(&self) -> plc_core::error::Error {
         plc_core::error::Error::invalid_config(format!(
             "struct-of-arrays contention core unavailable: {self}"
@@ -276,17 +283,10 @@ impl CoreRejection {
 }
 
 impl ContentionCore {
-    /// Build a core from per-station views, or `None` when the views
-    /// cannot be represented exactly (oversized CW/DC/stage tables), in
-    /// which case the engine stays on the per-object path. See
-    /// [`try_from_views`](Self::try_from_views) for the reason.
-    pub(crate) fn from_views(views: &[SoaView], all_active: bool) -> Option<Self> {
-        Self::try_from_views(views, all_active).ok()
-    }
-
-    /// [`from_views`](Self::from_views) surfacing *why* the views cannot
-    /// be packed, so the engine can report the fallback instead of
-    /// silently taking the per-object path.
+    /// Build a core from per-station views, or say why the views cannot
+    /// be represented exactly (oversized CW/DC/stage tables).
+    /// `all_active` marks every station permanently backlogged (a
+    /// saturated population).
     pub(crate) fn try_from_views(
         views: &[SoaView],
         all_active: bool,
@@ -724,9 +724,9 @@ pub mod bench {
             let ps: Vec<Backoff1901> = (0..n)
                 .map(|_| Backoff1901::default_ca1(&mut seed_rng))
                 .collect();
-            let views: Vec<_> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
+            let views: Vec<_> = ps.iter().map(|p| p.soa_view()).collect();
             BusySweepBench {
-                core: ContentionCore::from_views(&views, true).expect("representable"),
+                core: ContentionCore::try_from_views(&views, true).expect("representable"),
                 rng: SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
                 tx: Vec::with_capacity(n),
                 zero: Vec::with_capacity(n),
@@ -777,13 +777,17 @@ pub mod bench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plc_core::config::CsmaConfig;
     use plc_mac::process::BackoffProcess;
-    use plc_mac::{Backoff1901, BackoffDcf};
-    use rand::SeedableRng;
+    use plc_mac::{AnyBackoff, Backoff1901, BackoffDcf};
+    use rand::{Rng, SeedableRng};
 
-    fn core_of<P: BackoffProcess>(ps: &[P]) -> ContentionCore {
-        let views: Vec<SoaView> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
-        ContentionCore::from_views(&views, true).unwrap()
+    fn views_of<P: BackoffProcess>(ps: &[P]) -> Vec<SoaView> {
+        ps.iter().map(|p| p.soa_view()).collect()
+    }
+
+    fn core_of<P: BackoffProcess>(ps: &[P], all_active: bool) -> ContentionCore {
+        ContentionCore::try_from_views(&views_of(ps), all_active).unwrap()
     }
 
     /// The fused fold must equal a from-scratch scan of the core.
@@ -800,84 +804,139 @@ mod tests {
         assert_eq!(min, want_min, "slot {slot} fused min BC");
     }
 
+    /// How [`mirror`] drives the population beyond plain slots.
+    #[derive(Clone, Copy, Default)]
+    struct Drive {
+        /// Per-slot probability that a drained station gets a frame
+        /// (`reset_now`), and that a station drains after its
+        /// transmission (`set_active(false)`). 0 keeps every station
+        /// backlogged.
+        churn: f64,
+        /// Per-slot probability of absorbing a run of idle slots in one
+        /// `consume_idle` jump instead of stepping one slot.
+        skip: f64,
+    }
+
     /// Drive the same slot sequence through process objects and through
-    /// the core with cloned RNGs, emulating the engine's loop (scan →
-    /// idle / success / collision): every counter snapshot and the final
-    /// RNG states must agree at every slot.
-    fn mirror_slots<P: BackoffProcess>(ps: &mut [P], slots: usize, seed: u64) {
-        let mut core = core_of(ps);
+    /// the core with cloned RNGs, emulating the engine's loop exactly as
+    /// the process-object engine ran it: arrivals reset newly backlogged
+    /// stations, idle runs are absorbed in one jump, then the slot is
+    /// idle / success / collision, and only backlogged stations take
+    /// idle or busy transitions. Every counter snapshot, the contender
+    /// set, the fused contention cache and the RNG states must agree at
+    /// every slot. A separate schedule RNG makes the arrival, drain, skip
+    /// and drop decisions, so both sides see the same schedule.
+    fn mirror<P: BackoffProcess>(
+        ps: &mut [P],
+        all_active: bool,
+        drive: Drive,
+        slots: usize,
+        seed: u64,
+    ) {
+        let mut core = core_of(ps, all_active);
+        let n = ps.len();
+        let mut active = vec![true; n];
+        let mut sched = SmallRng::seed_from_u64(seed ^ 0xD1CE);
         let mut rng_a = SmallRng::seed_from_u64(seed);
         let mut rng_b = rng_a.clone();
+        let (mut arrivals, mut drains, mut skips) = (0, 0, 0);
         for slot in 0..slots {
-            let tx: Vec<usize> = ps
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.wants_tx())
-                .map(|(i, _)| i)
-                .collect();
-            match tx.len() {
-                0 => {
-                    for p in ps.iter_mut() {
-                        p.on_idle_slot(&mut rng_a);
-                    }
-                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
-                    core.idle_sweep::<true>(&mut zero, &mut min);
-                    let want_zero: Vec<usize> = ps
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.wants_tx())
-                        .map(|(i, _)| i)
-                        .collect();
-                    let want_min = ps
-                        .iter()
-                        .filter_map(|p| p.idle_skip())
-                        .filter(|&b| b > 0)
-                        .min()
-                        .unwrap_or(u32::MAX);
-                    assert_eq!(zero, want_zero, "slot {slot} zero set");
-                    assert_eq!(min, want_min, "slot {slot} min BC");
+            // Arrivals: a drained station that gets a frame restarts at
+            // stage 0 with an immediate draw.
+            for i in 0..n {
+                if !active[i] && sched.gen_bool(drive.churn) {
+                    active[i] = true;
+                    ps[i].reset(&mut rng_a);
+                    core.reset_now(i, &mut rng_b);
+                    arrivals += 1;
                 }
-                1 => {
-                    let w = tx[0];
-                    for (i, p) in ps.iter_mut().enumerate() {
-                        if i == w {
-                            p.on_tx_success(&mut rng_a);
-                        } else {
-                            p.on_busy(&mut rng_a);
+            }
+            if !all_active {
+                for (i, &a) in active.iter().enumerate() {
+                    core.set_active(i, a);
+                }
+            }
+            let want_tx: Vec<usize> = (0..n).filter(|&i| active[i] && ps[i].wants_tx()).collect();
+            // Fast-forward: with no transmitter, absorb up to min(BC)
+            // idle slots at once.
+            let min_bc = (0..n)
+                .filter(|&i| active[i])
+                .map(|i| ps[i].idle_skip().expect("both protocols skip"))
+                .min();
+            if let Some(k) = min_bc.filter(|&k| k > 0 && sched.gen_bool(drive.skip)) {
+                let k = sched.gen_range(1..=k);
+                for i in (0..n).filter(|&i| active[i]) {
+                    ps[i].consume_idle_slots(k);
+                    core.consume_idle(i, k);
+                }
+                skips += 1;
+            } else {
+                let mut tx = Vec::new();
+                core.contenders(&mut tx);
+                assert_eq!(tx, want_tx, "slot {slot} contender set");
+                let (mut zero, mut min) = (Vec::new(), u32::MAX);
+                match tx.len() {
+                    0 => {
+                        for i in (0..n).filter(|&i| active[i]) {
+                            ps[i].on_idle_slot(&mut rng_a);
                         }
+                        core.idle_sweep::<true>(&mut zero, &mut min);
                     }
-                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
-                    core.success_sweep::<true>(w, &mut rng_b, &mut zero, &mut min);
-                    assert_cache(&core, &zero, min, slot);
-                }
-                _ => {
-                    // Alternate drop/advance to cover both actions.
-                    let actions: Vec<SweepAction> = tx
-                        .iter()
-                        .map(|&i| {
-                            if (i + slot) % 3 == 0 {
-                                SweepAction::Restart
+                    1 => {
+                        let w = tx[0];
+                        for i in (0..n).filter(|&i| active[i]) {
+                            if i == w {
+                                ps[i].on_tx_success(&mut rng_a);
                             } else {
-                                SweepAction::Advance
+                                ps[i].on_busy(&mut rng_a);
                             }
-                        })
-                        .collect();
-                    let mut txi = 0usize;
-                    for (i, p) in ps.iter_mut().enumerate() {
-                        if txi < tx.len() && tx[txi] == i {
-                            match actions[txi] {
-                                SweepAction::Restart => p.reset(&mut rng_a),
-                                SweepAction::Advance => p.on_tx_failure(&mut rng_a),
-                            }
-                            txi += 1;
-                        } else {
-                            p.on_busy(&mut rng_a);
                         }
+                        if sched.gen_bool(drive.churn) {
+                            active[w] = false;
+                            core.set_active(w, false);
+                            drains += 1;
+                        }
+                        core.success_sweep::<true>(w, &mut rng_b, &mut zero, &mut min);
                     }
-                    let (mut zero, mut min) = (Vec::new(), u32::MAX);
-                    core.collision_sweep::<true>(&tx, &actions, &mut rng_b, &mut zero, &mut min);
-                    assert_cache(&core, &zero, min, slot);
+                    _ => {
+                        // Draw drop/advance per transmitter to cover both
+                        // actions.
+                        let actions: Vec<SweepAction> = tx
+                            .iter()
+                            .map(|_| {
+                                if sched.gen_bool(1.0 / 3.0) {
+                                    SweepAction::Restart
+                                } else {
+                                    SweepAction::Advance
+                                }
+                            })
+                            .collect();
+                        let mut txi = 0usize;
+                        for i in (0..n).filter(|&i| active[i]) {
+                            if txi < tx.len() && tx[txi] == i {
+                                match actions[txi] {
+                                    SweepAction::Restart => ps[i].reset(&mut rng_a),
+                                    SweepAction::Advance => ps[i].on_tx_failure(&mut rng_a),
+                                }
+                                txi += 1;
+                            } else {
+                                ps[i].on_busy(&mut rng_a);
+                            }
+                        }
+                        for (&i, &action) in tx.iter().zip(&actions) {
+                            // A drop can empty the queue.
+                            if action == SweepAction::Restart && sched.gen_bool(drive.churn) {
+                                active[i] = false;
+                                core.set_active(i, false);
+                                drains += 1;
+                            }
+                        }
+                        core.collision_sweep::<true>(
+                            &tx, &actions, &mut rng_b, &mut zero, &mut min,
+                        );
+                    }
                 }
+                assert_cache(&core, &zero, min, slot);
             }
             for (i, p) in ps.iter().enumerate() {
                 assert_eq!(p.snapshot(), core.snapshot(i), "slot {slot} station {i}");
@@ -885,15 +944,43 @@ mod tests {
             }
             assert_eq!(rng_a, rng_b, "RNG streams diverged at slot {slot}");
         }
+        // The schedule must actually exercise what it was asked to.
+        if drive.churn > 0.0 {
+            assert!(
+                arrivals > 0 && drains > 0,
+                "{arrivals} arrivals, {drains} drains"
+            );
+        }
+        if drive.skip > 0.0 {
+            assert!(skips > 0, "no idle run was absorbed");
+        }
+    }
+
+    fn ca1(n: usize, seed: u64) -> Vec<Backoff1901> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n).map(|_| Backoff1901::default_ca1(&mut rng)).collect()
+    }
+
+    /// Four parameter classes over both protocols: 1901 CA1 and CA2/CA3
+    /// tables, classic DCF and a short custom DCF table, interleaved.
+    fn mixed(n: usize, seed: u64) -> Vec<AnyBackoff> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let dcf_short = CsmaConfig::dcf_like(4, 3).unwrap();
+        (0..n)
+            .map(|i| match i % 4 {
+                0 => Backoff1901::new(CsmaConfig::ieee1901_ca01(), &mut rng).into(),
+                1 => BackoffDcf::classic(&mut rng).into(),
+                2 => Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut rng).into(),
+                _ => BackoffDcf::new(dcf_short.clone(), &mut rng).into(),
+            })
+            .collect()
     }
 
     #[test]
     fn mirrors_object_transitions_1901() {
-        let mut seed_rng = SmallRng::seed_from_u64(7);
-        let mut ps: Vec<Backoff1901> = (0..4)
-            .map(|_| Backoff1901::default_ca1(&mut seed_rng))
-            .collect();
-        mirror_slots(&mut ps, 500, 99);
+        let mut ps = ca1(4, 7);
+        assert!(core_of(&ps, true).fast);
+        mirror(&mut ps, true, Drive::default(), 500, 99);
     }
 
     #[test]
@@ -901,12 +988,8 @@ mod tests {
         // Same transitions with the specialized sweep demoted: the
         // generic (per-station checks) path must agree station for
         // station with the fast path and the objects.
-        let mut seed_rng = SmallRng::seed_from_u64(7);
-        let mut ps: Vec<Backoff1901> = (0..4)
-            .map(|_| Backoff1901::default_ca1(&mut seed_rng))
-            .collect();
-        let views: Vec<SoaView> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
-        let mut core = ContentionCore::from_views(&views, true).unwrap();
+        let mut ps = ca1(4, 7);
+        let mut core = core_of(&ps, true);
         assert!(core.fast);
         core.fast = false;
         let mut rng_a = SmallRng::seed_from_u64(99);
@@ -961,7 +1044,51 @@ mod tests {
     fn mirrors_object_transitions_dcf() {
         let mut seed_rng = SmallRng::seed_from_u64(3);
         let mut ps: Vec<BackoffDcf> = (0..3).map(|_| BackoffDcf::classic(&mut seed_rng)).collect();
-        mirror_slots(&mut ps, 400, 5);
+        mirror(&mut ps, true, Drive::default(), 400, 5);
+    }
+
+    #[test]
+    fn mirrors_lazy_core_with_every_station_backlogged() {
+        // `all_active = false` (an unsaturated population that happens to
+        // stay backlogged) never takes the specialized sweep.
+        let mut ps = ca1(5, 11);
+        assert!(!core_of(&ps, false).fast);
+        mirror(&mut ps, false, Drive::default(), 600, 12);
+    }
+
+    #[test]
+    fn mirrors_idle_run_skips() {
+        let drive = Drive {
+            skip: 0.5,
+            ..Drive::default()
+        };
+        mirror(&mut ca1(4, 21), true, drive, 600, 22);
+        mirror(&mut mixed(8, 23), true, drive, 600, 24);
+    }
+
+    #[test]
+    fn mirrors_arrivals_and_drains() {
+        // Stations leave the backlog after transmitting (inactive ones
+        // must keep their counters frozen through idle and busy sweeps)
+        // and re-enter through `reset_now`.
+        let drive = Drive {
+            churn: 0.2,
+            skip: 0.0,
+        };
+        mirror(&mut ca1(6, 31), false, drive, 800, 32);
+        mirror(&mut mixed(8, 33), false, drive, 800, 34);
+    }
+
+    #[test]
+    fn mirrors_mixed_population_with_everything() {
+        let mut ps = mixed(12, 41);
+        assert_eq!(core_of(&ps, false).classes.len(), 4);
+        let drive = Drive {
+            churn: 0.1,
+            skip: 0.3,
+        };
+        mirror(&mut ps, false, drive, 1500, 42);
+        mirror(&mut mixed(12, 43), true, Drive::default(), 800, 44);
     }
 
     #[test]
@@ -977,28 +1104,40 @@ mod tests {
                 stage: 0,
             },
         };
-        assert!(ContentionCore::from_views(&[], true).is_none());
-        assert!(ContentionCore::from_views(&[view(1 << 17, 0, 4)], true).is_none());
-        assert!(ContentionCore::from_views(&[view(0, 0, 4)], true).is_none());
-        assert!(ContentionCore::from_views(&[view(8, 0, 257)], true).is_none());
+        let build = |v: &[SoaView]| ContentionCore::try_from_views(v, true);
+        assert_eq!(build(&[]).err(), Some(CoreRejection::Empty));
+        assert!(matches!(
+            build(&[view(1 << 17, 0, 4)]),
+            Err(CoreRejection::WindowUnrepresentable { .. })
+        ));
+        assert!(matches!(
+            build(&[view(0, 0, 4)]),
+            Err(CoreRejection::WindowUnrepresentable { .. })
+        ));
+        assert!(matches!(
+            build(&[view(8, 0, 257)]),
+            Err(CoreRejection::StageTableSize { stages: 257, .. })
+        ));
         // A DC too large to pack (yet not disabled) is rejected; the
         // disabled sentinel itself is representable.
-        assert!(ContentionCore::from_views(&[view(8, 0xFFFF, 4)], true).is_none());
-        assert!(ContentionCore::from_views(&[view(8, DC_DISABLED, 4)], true).is_some());
-        assert!(ContentionCore::from_views(&[view(8, 0, 4)], true).is_some());
+        assert!(matches!(
+            build(&[view(8, 0xFFFF, 4)]),
+            Err(CoreRejection::DeferralUnrepresentable { dc: 0xFFFF, .. })
+        ));
+        assert!(build(&[view(8, DC_DISABLED, 4)]).is_ok());
+        assert!(build(&[view(8, 0, 4)]).is_ok());
     }
 
     #[test]
     fn dedups_classes_and_detects_fast_population() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let ps: Vec<Backoff1901> = (0..10)
-            .map(|_| Backoff1901::default_ca1(&mut rng))
-            .collect();
-        let core = core_of(&ps);
+        let ps = ca1(10, 1);
+        let core = core_of(&ps, true);
         assert_eq!(core.classes.len(), 1);
         assert!(core.fast, "saturated single-class 1901 qualifies");
-        let views: Vec<SoaView> = ps.iter().map(|p| p.soa_view().unwrap()).collect();
-        let lazy = ContentionCore::from_views(&views, false).unwrap();
-        assert!(!lazy.fast, "dynamic backlog never qualifies");
+        assert!(!core_of(&ps, false).fast, "dynamic backlog never qualifies");
+        assert!(
+            !core_of(&mixed(4, 1), true).fast,
+            "mixed classes never qualify"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! either an idle slot (`σ`), a successful transmission (`Ts`) or a
 //! collision (`Tc`) — but in extensible form:
 //!
-//! * generic over the backoff process, so IEEE 1901, 802.11 DCF and the
+//! * built from any [`BackoffProcess`], so IEEE 1901, 802.11 DCF and the
 //!   ablation variants run under identical dynamics (use
 //!   [`plc_mac::AnyBackoff`] to mix protocols in one channel);
 //! * per-station traffic models (saturated, Poisson, on/off);
@@ -18,9 +18,26 @@
 //! infinite retries) the engine is statistically indistinguishable from
 //! the reference port in [`crate::paper`] — an integration test asserts
 //! exactly that.
+//!
+//! # One contention path
+//!
+//! The processes are read once, at construction: each exports its stage
+//! table and live counters as a [`SoaView`], and the engine packs every
+//! station into one struct-of-arrays contention core that holds all
+//! BC/DC/BPC/stage state from then on. A table the core cannot pack (a
+//! deferral counter of `0xFFFF` or more that is not disabled, more than
+//! 256 stages) fails [`SlottedEngine::try_new`] with
+//! [`Error::InvalidConfig`]; there is no fallback path. The core's
+//! transitions are checked against the `plc-mac` process methods,
+//! transition by transition and RNG draw by RNG draw, in its unit tests.
+//!
+//! [`run`](SlottedEngine::run) absorbs runs of guaranteed-idle slots in
+//! one jump; observers and per-slot snapshots need every step
+//! materialized and select per-slot stepping instead, with identical
+//! results.
 
 use crate::bursting::BurstPolicy;
-use crate::contention::{ContentionCore, CoreRejection, SweepAction};
+use crate::contention::{ContentionCore, SweepAction};
 use crate::metrics::Metrics;
 use crate::trace::{StationId, TraceEvent, TraceSink};
 use crate::traffic::{TrafficModel, TrafficState};
@@ -31,7 +48,7 @@ use plc_core::frame::{SelectiveAck, SofDelimiter};
 use plc_core::priority::Priority;
 use plc_core::timing::{MacTiming, MAX_BURST, PREAMBLE, RIFS, SACK};
 use plc_core::units::Microseconds;
-use plc_mac::process::BackoffProcess;
+use plc_mac::process::{BackoffProcess, SoaView};
 use plc_mac::retry::{RetryPolicy, RetryState};
 use plc_obs::{EngineObs, SharedObserver, StationObs};
 use rand::rngs::SmallRng;
@@ -110,32 +127,15 @@ pub struct EngineConfig {
     /// by start time on construction and rejects overlapping or
     /// non-finite bursts with [`Error::InvalidConfig`].
     pub noise: Vec<plc_faults::NoiseBurst>,
-    /// Fast-forward runs of idle slots in one jump (default `true`).
-    /// Byte-identical to per-slot stepping — idle slots consume no RNG
-    /// draws and never touch the deferral counter — and exercised against
-    /// it by the `fast_forward_equivalence` test suite; disable only to
-    /// cross-check the stepping path. [`emit_snapshots`]
-    /// (EngineConfig::emit_snapshots) and attached observers force the
-    /// per-slot path regardless, since both need every step materialized.
-    pub fast_forward: bool,
-    /// Host the contention counters in a struct-of-arrays core (default
-    /// `true`), making the busy-slot pass a tight sweep over parallel
-    /// arrays with batched RNG draws. Bit-identical to the per-object
-    /// path — same traces, metrics and RNG stream, pinned by the
-    /// `soa_equivalence` suite — and engaged only when every station's
-    /// process exports a [`plc_mac::SoaView`]; disable to force the
-    /// per-object reference path.
-    pub soa: bool,
     /// Cooperative cancellation: when installed, [`SlottedEngine::run`]
     /// polls the token once per slot (idle runs are still absorbed in
     /// one fast-forward jump first) and returns early when it fires,
     /// leaving partial metrics behind. `None` (the default) is **zero
-    /// cost**: the run loop compiles without any check — the engine
-    /// dispatches to the exact pre-cancellation loops — so installing
-    /// no token keeps the hot path byte-for-byte as fast as before.
-    /// Cancellation never perturbs results that complete: a run that
-    /// reaches the horizon with an un-fired token is bit-identical to
-    /// one without a token installed.
+    /// cost**: the run loop is generic over its poll, and the no-token
+    /// instantiation compiles without any check. Cancellation never
+    /// perturbs results that complete: a run that reaches the horizon
+    /// with an un-fired token is bit-identical to one without a token
+    /// installed.
     pub cancel: Option<plc_core::CancelToken>,
 }
 
@@ -153,8 +153,6 @@ impl EngineConfig {
             emit_wire_events: true,
             beacons: None,
             noise: Vec::new(),
-            fast_forward: true,
-            soa: true,
             cancel: None,
         }
     }
@@ -207,8 +205,7 @@ impl<P> StationSpec<P> {
     }
 }
 
-struct StationCtx<P> {
-    process: P,
+struct StationCtx {
     priority: Priority,
     traffic: TrafficState,
     retry: RetryState,
@@ -250,9 +247,9 @@ enum StepKind {
 
 /// The slotted single-contention-domain engine. See the [module
 /// docs](self).
-pub struct SlottedEngine<P: BackoffProcess> {
+pub struct SlottedEngine {
     cfg: EngineConfig,
-    stations: Vec<StationCtx<P>>,
+    stations: Vec<StationCtx>,
     rng: SmallRng,
     t: Microseconds,
     metrics: Metrics,
@@ -280,30 +277,23 @@ pub struct SlottedEngine<P: BackoffProcess> {
     /// process transmits this slot (ascending station order — the same
     /// order the contend scan produces) and `min_bc` the minimum backoff
     /// counter over backlogged stations with `BC > 0` (`u32::MAX` when
-    /// none). Maintained by the `TRACK = true` step path by folding
-    /// [`BackoffProcess::idle_skip`] into the mutation loops it already
-    /// runs, so the per-step contention rescan disappears; any mutation
-    /// outside those loops (traffic reset, external `step()` calls)
-    /// invalidates it.
+    /// none). Maintained by the `TRACK = true` step path, which folds the
+    /// cache inside the core's sweeps, so the per-step contention rescan
+    /// disappears; any mutation outside those sweeps (traffic reset,
+    /// external `step()` calls) invalidates it.
     hint_valid: bool,
     min_bc: u32,
     zero_bc: Vec<StationId>,
-    /// Struct-of-arrays contention state (see [`EngineConfig::soa`]).
-    /// When present it is the *authoritative* store of every station's
-    /// BC/DC/BPC/stage — the `StationCtx` process objects are only read
-    /// at build time — and every read or mutation of contention state
-    /// routes through it.
-    core: Option<ContentionCore>,
-    /// Why the struct-of-arrays core could not be packed, when `cfg.soa`
-    /// was requested but the engine had to fall back to the per-object
-    /// path. `None` either means the core is active or that a process
-    /// opted out of exporting a SoA view.
-    soa_rejection: Option<CoreRejection>,
+    /// Struct-of-arrays contention state: the one store of every
+    /// station's BC/DC/BPC/stage. The backoff process objects are read
+    /// once, at build time, to pack it; every read or mutation of
+    /// contention state afterwards routes through the core.
+    core: ContentionCore,
     /// Scratch buffer of per-transmitter sweep actions (collision arm).
     action_buf: Vec<SweepAction>,
 }
 
-impl<P: BackoffProcess> SlottedEngine<P> {
+impl SlottedEngine {
     /// Build an engine over the given stations. `seed` drives all engine
     /// randomness (traffic arrivals, burst draws) — note the *processes*
     /// were seeded by their own constructor RNGs, so construct them from
@@ -313,18 +303,28 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     /// # Panics
     ///
     /// On any configuration [`try_new`](Self::try_new) rejects.
-    pub fn new(cfg: EngineConfig, stations: Vec<StationSpec<P>>, seed: u64) -> Self {
+    pub fn new<P: BackoffProcess>(
+        cfg: EngineConfig,
+        stations: Vec<StationSpec<P>>,
+        seed: u64,
+    ) -> Self {
         Self::try_new(cfg, stations, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`new`](Self::new), returning configuration problems as
     /// [`Error::InvalidConfig`] instead of panicking: an empty station
-    /// set, invalid timing, a PB error probability outside `[0, 1)`, or a
-    /// malformed noise schedule. Noise bursts are sorted by start time
-    /// here (callers may build them out of order); overlapping or
-    /// non-finite bursts are rejected since both would corrupt the
-    /// monotone noise cursor and the fast-forward clamp.
-    pub fn try_new(
+    /// set, invalid timing, a PB error probability outside `[0, 1)`, a
+    /// malformed noise schedule, or a contention table the
+    /// struct-of-arrays core cannot pack (a deferral counter of `0xFFFF`
+    /// or more that is not disabled, more than 256 stages; see
+    /// [`CoreRejection`](crate::CoreRejection)). Every station is packed
+    /// into the core, or construction fails here.
+    ///
+    /// Noise bursts are sorted by start time here (callers may build them
+    /// out of order); overlapping or non-finite bursts are rejected since
+    /// both would corrupt the monotone noise cursor and the fast-forward
+    /// clamp.
+    pub fn try_new<P: BackoffProcess>(
         mut cfg: EngineConfig,
         stations: Vec<StationSpec<P>>,
         seed: u64,
@@ -366,10 +366,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = stations.len();
-        let stations: Vec<StationCtx<P>> = stations
+        let views: Vec<SoaView> = stations.iter().map(|s| s.process.soa_view()).collect();
+        let stations: Vec<StationCtx> = stations
             .into_iter()
             .map(|s| StationCtx {
-                process: s.process,
                 priority: s.priority,
                 traffic: TrafficState::new(s.traffic, &mut rng),
                 retry: RetryState::new(),
@@ -383,33 +383,8 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             .map(|b| b.period)
             .unwrap_or(Microseconds(f64::INFINITY));
         let all_saturated = stations.iter().all(|s| s.traffic.is_saturated());
-        // Move the contention counters into the struct-of-arrays core
-        // when every process can export them; a single opt-out (or an
-        // unrepresentable table) falls back to the per-object path, and
-        // the rejection reason is kept so callers (and the
-        // `engine.soa_fallbacks` counter) can see *why* instead of the
-        // core silently staying unused.
-        let mut soa_rejection = None;
-        let core = if cfg.soa {
-            match stations
-                .iter()
-                .map(|s| s.process.soa_view())
-                .collect::<Option<Vec<_>>>()
-            {
-                Some(views) => match ContentionCore::try_from_views(&views, all_saturated) {
-                    Ok(core) => Some(core),
-                    Err(why) => {
-                        soa_rejection = Some(why);
-                        None
-                    }
-                },
-                // A process without a SoA view opted out by design — not
-                // a packing failure, so no rejection is recorded.
-                None => None,
-            }
-        } else {
-            None
-        };
+        let core =
+            ContentionCore::try_from_views(&views, all_saturated).map_err(|why| why.to_error())?;
         Ok(SlottedEngine {
             cfg,
             stations,
@@ -430,7 +405,6 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             min_bc: u32::MAX,
             zero_bc: Vec::with_capacity(n),
             core,
-            soa_rejection,
             action_buf: Vec::with_capacity(n),
         })
     }
@@ -460,12 +434,13 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     /// fast-forward). Without this call the hot loop pays a single branch
     /// per step for observability.
     ///
-    /// Inside [`run`](Self::run) with fast-forward on, `engine.step` and
-    /// `engine.steps` are recorded in one batch when the run completes
-    /// (a per-step clock read would cost as much as the step itself);
-    /// the totals are identical, but mid-run reads from another thread
-    /// see them only after the run returns. External [`step`](Self::step)
-    /// calls record per step.
+    /// Inside [`run`](Self::run) on the fast-forward path (no observers,
+    /// no per-slot snapshots), `engine.step` and `engine.steps` are
+    /// recorded in one batch when the run completes (a per-step clock
+    /// read would cost as much as the step itself); the totals are
+    /// identical, but mid-run reads from another thread see them only
+    /// after the run returns. External [`step`](Self::step) calls record
+    /// per step.
     ///
     /// Fails with [`Error::Runtime`] if any of those names is already
     /// registered as a different metric kind.
@@ -477,23 +452,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             steps_skipped: registry.try_counter("engine.steps_skipped")?,
             fast_forward: registry.try_timer("engine.fast_forward")?,
         });
-        // Make silent SoA fallbacks visible: the counter exists whenever
-        // an instrumented engine runs, so a zero reading means "core
-        // active or opted out", a non-zero reading says how many engines
-        // hit an unrepresentable contention table.
-        let fallbacks = registry.try_counter("engine.soa_fallbacks")?;
-        if self.soa_rejection.is_some() {
-            fallbacks.add(1);
-        }
         Ok(())
-    }
-
-    /// Why the struct-of-arrays contention core was rejected, when
-    /// [`EngineConfig::soa`] asked for it but the engine fell back to the
-    /// per-object path. `None` means the core is active, SoA was not
-    /// requested, or a process opted out of exporting a view.
-    pub fn soa_rejection(&self) -> Option<&CoreRejection> {
-        self.soa_rejection.as_ref()
     }
 
     /// Steps executed so far.
@@ -513,10 +472,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
 
     /// Counter snapshot of station `i`.
     pub fn snapshot(&self, i: StationId) -> plc_mac::process::BackoffSnapshot {
-        match &self.core {
-            Some(core) => core.snapshot(i),
-            None => self.stations[i].process.snapshot(),
-        }
+        self.core.snapshot(i)
     }
 
     /// Number of stations.
@@ -600,29 +556,16 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 return 0;
             }
             self.min_bc
-        } else if let Some(core) = &self.core {
+        } else {
             let mut k = u32::MAX;
             for (i, st) in self.stations.iter().enumerate() {
                 if st.traffic.has_frame() || !st.retx.is_empty() {
-                    let bc = core.bc_of(i);
+                    let bc = self.core.bc_of(i);
                     if bc == 0 {
                         // A station transmits this slot: step normally.
                         return 0;
                     }
                     k = k.min(bc);
-                }
-            }
-            k
-        } else {
-            let mut k = u32::MAX;
-            for st in &self.stations {
-                if st.traffic.has_frame() || !st.retx.is_empty() {
-                    match st.process.idle_skip() {
-                        Some(bc) if bc > 0 => k = k.min(bc),
-                        // A station transmits this slot, or its process
-                        // opted out of skipping: step normally.
-                        _ => return 0,
-                    }
                 }
             }
             k
@@ -660,34 +603,20 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             let mut zero = std::mem::take(&mut self.zero_bc);
             zero.clear();
             let mut min = u32::MAX;
-            let mut poisoned = false;
-            if let Some(core) = &mut self.core {
-                for (i, st) in self.stations.iter().enumerate() {
-                    if st.traffic.has_frame() || !st.retx.is_empty() {
-                        core.consume_idle(i, skipped as u32);
-                        let bc = core.bc_of(i);
-                        if bc == 0 {
-                            zero.push(i);
-                        } else {
-                            min = min.min(bc);
-                        }
-                    }
-                }
-            } else {
-                for (i, st) in self.stations.iter_mut().enumerate() {
-                    if st.traffic.has_frame() || !st.retx.is_empty() {
-                        st.process.consume_idle_slots(skipped as u32);
-                        match st.process.idle_skip() {
-                            Some(0) => zero.push(i),
-                            Some(bc) => min = min.min(bc),
-                            None => poisoned = true,
-                        }
+            for (i, st) in self.stations.iter().enumerate() {
+                if st.traffic.has_frame() || !st.retx.is_empty() {
+                    self.core.consume_idle(i, skipped as u32);
+                    let bc = self.core.bc_of(i);
+                    if bc == 0 {
+                        zero.push(i);
+                    } else {
+                        min = min.min(bc);
                     }
                 }
             }
             self.zero_bc = zero;
             self.min_bc = min;
-            self.hint_valid = !poisoned;
+            self.hint_valid = true;
             self.metrics.elapsed = self.t;
             self.steps += skipped;
         }
@@ -739,7 +668,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             self.steps += 1;
             kind
         } else {
-            self.step_instrumented::<false>()
+            self.step_instrumented()
         };
         // External stepping mutates station state without folding the
         // contention cache; a later `run()` must rebuild it.
@@ -760,9 +689,9 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     }
 
     #[cold]
-    fn step_instrumented<const TRACK: bool>(&mut self) -> StepKind {
+    fn step_instrumented(&mut self) -> StepKind {
         let _step_span = self.timers.as_ref().map(|t| t.step.start());
-        let kind = self.step_inner::<TRACK>();
+        let kind = self.step_inner::<false>();
         self.steps += 1;
         if let Some(t) = &self.timers {
             t.steps.inc();
@@ -781,15 +710,9 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             idle_slots: self.metrics.idle_slots,
             successes: self.metrics.successes,
             collision_events: self.metrics.collision_events,
-            stations: self
-                .stations
-                .iter()
-                .enumerate()
-                .map(|(i, st)| {
-                    let snap = match &self.core {
-                        Some(core) => core.snapshot(i),
-                        None => st.process.snapshot(),
-                    };
+            stations: (0..self.stations.len())
+                .map(|i| {
+                    let snap = self.core.snapshot(i);
                     StationObs {
                         station: i,
                         stage: snap.stage,
@@ -821,10 +744,10 @@ impl<P: BackoffProcess> SlottedEngine<P> {
     //
     // `TRACK` selects the fast-forward run loop's variant, which consumes
     // the `zero_bc`/`min_bc` contention cache instead of rescanning all
-    // stations and rebuilds it inside the mutation loops each branch
+    // stations and rebuilds it inside the core's sweeps each branch
     // already runs. With `TRACK = false` (the public `step()` path and
-    // the `fast_forward(false)` reference engine) every cache line
-    // compiles out and the body is the plain stepping loop.
+    // the per-slot run loops) every cache line compiles out and the body
+    // is the plain stepping loop.
     #[inline(always)]
     fn step_inner<const TRACK: bool>(&mut self) -> StepKind {
         // The CCo's beacon takes the medium at its scheduled time;
@@ -846,40 +769,26 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         // Deliver traffic arrivals up to now; newly-backlogged stations
         // start a fresh stage-0 backoff.
         if !self.all_saturated {
-            if let Some(core) = &mut self.core {
-                for (i, st) in self.stations.iter_mut().enumerate() {
-                    if !st.traffic.is_saturated()
-                        && st.traffic.advance_to(t0.as_micros(), &mut self.rng)
-                    {
-                        core.reset_now(i, &mut self.rng);
-                        if TRACK {
-                            // The fresh stage-0 BC isn't folded into the
-                            // cache; rebuild it below.
-                            self.hint_valid = false;
-                        }
+            for (i, st) in self.stations.iter_mut().enumerate() {
+                if !st.traffic.is_saturated()
+                    && st.traffic.advance_to(t0.as_micros(), &mut self.rng)
+                {
+                    self.core.reset_now(i, &mut self.rng);
+                    if TRACK {
+                        // The fresh stage-0 BC isn't folded into the
+                        // cache; rebuild it below.
+                        self.hint_valid = false;
                     }
                 }
-                // Refresh the backlog flags once per step: the contender
-                // scan and the sweeps below read these instead of walking
-                // `StationCtx` (with every station saturated they are
-                // constant `true` and never refreshed). Stations whose
-                // queues change mid-step are fixed up in place.
-                for (i, st) in self.stations.iter().enumerate() {
-                    core.set_active(i, st.traffic.has_frame() || !st.retx.is_empty());
-                }
-            } else {
-                for st in &mut self.stations {
-                    if !st.traffic.is_saturated()
-                        && st.traffic.advance_to(t0.as_micros(), &mut self.rng)
-                    {
-                        st.process.reset(&mut self.rng);
-                        if TRACK {
-                            // The fresh stage-0 BC isn't folded into the
-                            // cache; rebuild it below.
-                            self.hint_valid = false;
-                        }
-                    }
-                }
+            }
+            // Refresh the backlog flags once per step: the contender scan
+            // and the sweeps below read these instead of walking
+            // `StationCtx` (with every station saturated they are constant
+            // `true` and never refreshed). Stations whose queues change
+            // mid-step are fixed up in place.
+            for (i, st) in self.stations.iter().enumerate() {
+                self.core
+                    .set_active(i, st.traffic.has_frame() || !st.retx.is_empty());
             }
         }
 
@@ -889,14 +798,8 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         if TRACK && self.hint_valid {
             // `zero_bc` is exactly the contender set, in scan order.
             std::mem::swap(&mut self.tx_buf, &mut self.zero_bc);
-        } else if let Some(core) = &self.core {
-            core.contenders(&mut self.tx_buf);
         } else {
-            for (i, st) in self.stations.iter().enumerate() {
-                if (st.traffic.has_frame() || !st.retx.is_empty()) && st.process.wants_tx() {
-                    self.tx_buf.push(i);
-                }
-            }
+            self.core.contenders(&mut self.tx_buf);
         }
         let tx = std::mem::take(&mut self.tx_buf);
 
@@ -910,29 +813,13 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             Vec::new()
         };
         let mut min_bc = u32::MAX;
-        let mut poisoned = false;
 
         // Wire events only matter when someone listens; with no sinks the
         // SoF/SACK construction (and its allocations) is pure waste.
         let emitting = !self.sinks.is_empty();
         let outcome = match tx.len() {
             0 => {
-                if let Some(core) = &mut self.core {
-                    core.idle_sweep::<TRACK>(&mut zero, &mut min_bc);
-                } else {
-                    for (i, st) in self.stations.iter_mut().enumerate() {
-                        if st.traffic.has_frame() || !st.retx.is_empty() {
-                            st.process.on_idle_slot(&mut self.rng);
-                            if TRACK {
-                                match st.process.idle_skip() {
-                                    Some(0) => zero.push(i),
-                                    Some(bc) => min_bc = min_bc.min(bc),
-                                    None => poisoned = true,
-                                }
-                            }
-                        }
-                    }
-                }
+                self.core.idle_sweep::<TRACK>(&mut zero, &mut min_bc);
                 self.t += self.cfg.timing.slot;
                 self.metrics.idle_slots += 1;
                 self.metrics.time_idle += self.cfg.timing.slot;
@@ -1017,45 +904,19 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                     }
                 }
 
-                // Winner resets; everyone else with traffic sensed busy.
-                if self.core.is_some() {
-                    // Engine-level bookkeeping first (consumes no RNG
-                    // draws), then the batched sweep redraws in ascending
-                    // station order — the per-object draw order.
-                    self.stations[w].retry = RetryState::new();
-                    self.stations[w].traffic.consume(fresh_consumed);
-                    if !self.all_saturated {
-                        let a = self.stations[w].traffic.has_frame()
-                            || !self.stations[w].retx.is_empty();
-                        if let Some(core) = &mut self.core {
-                            core.set_active(w, a);
-                        }
-                    }
-                    let core = self.core.as_mut().expect("checked above");
-                    core.success_sweep::<TRACK>(w, &mut self.rng, &mut zero, &mut min_bc);
-                } else {
-                    for i in 0..self.stations.len() {
-                        if i == w {
-                            self.stations[i].process.on_tx_success(&mut self.rng);
-                            self.stations[i].retry = RetryState::new();
-                            self.stations[i].traffic.consume(fresh_consumed);
-                        } else if self.stations[i].traffic.has_frame()
-                            || !self.stations[i].retx.is_empty()
-                        {
-                            self.stations[i].process.on_busy(&mut self.rng);
-                        }
-                        if TRACK {
-                            let st = &self.stations[i];
-                            if st.traffic.has_frame() || !st.retx.is_empty() {
-                                match st.process.idle_skip() {
-                                    Some(0) => zero.push(i),
-                                    Some(bc) => min_bc = min_bc.min(bc),
-                                    None => poisoned = true,
-                                }
-                            }
-                        }
-                    }
+                // Winner resets; everyone else with traffic senses busy.
+                // Engine-level bookkeeping first (it consumes no RNG
+                // draws), then the sweep redraws in ascending station
+                // order.
+                self.stations[w].retry = RetryState::new();
+                self.stations[w].traffic.consume(fresh_consumed);
+                if !self.all_saturated {
+                    let a =
+                        self.stations[w].traffic.has_frame() || !self.stations[w].retx.is_empty();
+                    self.core.set_active(w, a);
                 }
+                self.core
+                    .success_sweep::<TRACK>(w, &mut self.rng, &mut zero, &mut min_bc);
 
                 self.t += dur;
                 self.metrics.record_success(w, t0, clean_mpdus);
@@ -1120,86 +981,43 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                     }
                 }
 
-                if self.core.is_some() {
-                    // Engine-level retry/drop bookkeeping first — it
-                    // consumes no RNG draws and only emits `FrameDropped`
-                    // events, which the per-object loop also emits before
-                    // the `Collision` event — then the batched sweep
-                    // redraws in ascending station order.
-                    let mut actions = std::mem::take(&mut self.action_buf);
-                    actions.clear();
-                    for &i in &tx {
-                        let dropped = self.stations[i].retry.record_failure(self.cfg.retry);
-                        if dropped {
-                            self.stations[i].retry = RetryState::new();
-                            // Drop the head-of-line unit: a pending
-                            // retransmission if any, else a queued frame.
-                            if self.stations[i].retx.pop_front().is_none() {
-                                self.stations[i].traffic.consume(1);
-                            }
-                            self.metrics.per_station[i].dropped += 1;
-                            self.emit(TraceEvent::FrameDropped { t: t0, station: i });
-                            actions.push(SweepAction::Restart);
-                        } else {
-                            actions.push(SweepAction::Advance);
+                // Engine-level retry/drop bookkeeping first — it consumes
+                // no RNG draws and only emits `FrameDropped` events, which
+                // precede the `Collision` event — then the sweep redraws
+                // in ascending station order.
+                let mut actions = std::mem::take(&mut self.action_buf);
+                actions.clear();
+                for &i in &tx {
+                    let dropped = self.stations[i].retry.record_failure(self.cfg.retry);
+                    if dropped {
+                        self.stations[i].retry = RetryState::new();
+                        // Drop the head-of-line unit: a pending
+                        // retransmission if any, else a queued frame.
+                        if self.stations[i].retx.pop_front().is_none() {
+                            self.stations[i].traffic.consume(1);
                         }
-                    }
-                    if !self.all_saturated {
-                        for &i in &tx {
-                            let a = self.stations[i].traffic.has_frame()
-                                || !self.stations[i].retx.is_empty();
-                            if let Some(core) = &mut self.core {
-                                core.set_active(i, a);
-                            }
-                        }
-                    }
-                    let core = self.core.as_mut().expect("checked above");
-                    core.collision_sweep::<TRACK>(
-                        &tx,
-                        &actions,
-                        &mut self.rng,
-                        &mut zero,
-                        &mut min_bc,
-                    );
-                    self.action_buf = actions;
-                } else {
-                    // `tx` is ascending (scan order), so a cursor replaces
-                    // the O(|tx|) membership test per station.
-                    let mut txi = 0usize;
-                    for i in 0..self.stations.len() {
-                        if txi < tx.len() && tx[txi] == i {
-                            txi += 1;
-                            let dropped = self.stations[i].retry.record_failure(self.cfg.retry);
-                            if dropped {
-                                self.stations[i].retry = RetryState::new();
-                                // Drop the head-of-line unit: a pending
-                                // retransmission if any, else a queued frame.
-                                if self.stations[i].retx.pop_front().is_none() {
-                                    self.stations[i].traffic.consume(1);
-                                }
-                                self.stations[i].process.reset(&mut self.rng);
-                                self.metrics.per_station[i].dropped += 1;
-                                self.emit(TraceEvent::FrameDropped { t: t0, station: i });
-                            } else {
-                                self.stations[i].process.on_tx_failure(&mut self.rng);
-                            }
-                        } else if self.stations[i].traffic.has_frame()
-                            || !self.stations[i].retx.is_empty()
-                        {
-                            self.stations[i].process.on_busy(&mut self.rng);
-                        }
-                        if TRACK {
-                            let st = &self.stations[i];
-                            if st.traffic.has_frame() || !st.retx.is_empty() {
-                                match st.process.idle_skip() {
-                                    Some(0) => zero.push(i),
-                                    Some(bc) => min_bc = min_bc.min(bc),
-                                    None => poisoned = true,
-                                }
-                            }
-                        }
+                        self.metrics.per_station[i].dropped += 1;
+                        self.emit(TraceEvent::FrameDropped { t: t0, station: i });
+                        actions.push(SweepAction::Restart);
+                    } else {
+                        actions.push(SweepAction::Advance);
                     }
                 }
+                if !self.all_saturated {
+                    for &i in &tx {
+                        let a = self.stations[i].traffic.has_frame()
+                            || !self.stations[i].retx.is_empty();
+                        self.core.set_active(i, a);
+                    }
+                }
+                self.core.collision_sweep::<TRACK>(
+                    &tx,
+                    &actions,
+                    &mut self.rng,
+                    &mut zero,
+                    &mut min_bc,
+                );
+                self.action_buf = actions;
 
                 self.t += dur;
                 self.metrics.record_collision(&bursts);
@@ -1217,10 +1035,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
 
         if self.cfg.emit_snapshots {
             for i in 0..self.stations.len() {
-                let snap = match &self.core {
-                    Some(core) => core.snapshot(i),
-                    None => self.stations[i].process.snapshot(),
-                };
+                let snap = self.core.snapshot(i);
                 self.emit(TraceEvent::Snapshot {
                     t: self.t,
                     station: i,
@@ -1232,7 +1047,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         if TRACK {
             self.zero_bc = zero;
             self.min_bc = min_bc;
-            self.hint_valid = !poisoned;
+            self.hint_valid = true;
         }
 
         // Keep the transmitter set for `materialize` (the public
@@ -1242,22 +1057,28 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         outcome
     }
 
-    /// Step until simulated time exceeds the horizon; returns the metrics.
+    /// Step until simulated time exceeds the horizon (or the installed
+    /// [`EngineConfig::cancel`] token fires); returns the metrics.
     ///
-    /// When [`EngineConfig::fast_forward`] is on (the default), runs of
-    /// guaranteed-idle slots are absorbed in one jump per run. Per-slot
-    /// snapshots ([`EngineConfig::emit_snapshots`]) and attached
-    /// observers force per-slot stepping, since both need every step
-    /// materialized.
+    /// Runs of guaranteed-idle slots are absorbed in one fast-forward
+    /// jump per run. Per-slot snapshots ([`EngineConfig::emit_snapshots`])
+    /// and attached observers force per-slot stepping, since both need
+    /// every step materialized; the results are identical either way.
     pub fn run(&mut self) -> &Metrics {
-        // Cancellable runs poll the token once per slot in dedicated
-        // loops; the common no-token case falls through to the exact
-        // pre-cancellation loops below, keeping cancellation support
-        // zero-cost when unused.
-        if self.cfg.cancel.is_some() {
-            return self.run_cancellable();
+        match self.cfg.cancel.clone() {
+            None => self.run_until(|| false),
+            Some(token) => self.run_until(|| token.is_cancelled()),
         }
-        let fast = self.cfg.fast_forward && !self.cfg.emit_snapshots && self.observers.is_empty();
+    }
+
+    /// The run loop, polling `cancelled` once per slot. Generic over the
+    /// poll so the no-token instantiation (`|| false`) compiles without
+    /// any check. Idle runs are absorbed in a single fast-forward jump
+    /// before the next poll, so cancellation latency is bounded by one
+    /// busy slot plus one idle run; a run whose poll never fires performs
+    /// the same mutations in the same order as one without a token.
+    fn run_until(&mut self, cancelled: impl Fn() -> bool) -> &Metrics {
+        let fast = !self.cfg.emit_snapshots && self.observers.is_empty();
         // External `step()` calls may have mutated station state since the
         // cache was last folded.
         self.hint_valid = false;
@@ -1266,14 +1087,14 @@ impl<P: BackoffProcess> SlottedEngine<P> {
         // observability support.
         if self.timers.is_none() && self.observers.is_empty() {
             if fast {
-                while self.t <= self.cfg.horizon {
+                while self.t <= self.cfg.horizon && !cancelled() {
                     if self.fast_forward_idle() == 0 {
                         self.step_inner::<true>();
                         self.steps += 1;
                     }
                 }
             } else {
-                while self.t <= self.cfg.horizon {
+                while self.t <= self.cfg.horizon && !cancelled() {
                     self.step_inner::<false>();
                     self.steps += 1;
                 }
@@ -1289,7 +1110,7 @@ impl<P: BackoffProcess> SlottedEngine<P> {
             let started = std::time::Instant::now();
             let mut stepped = 0u64;
             let mut ff_time = std::time::Duration::ZERO;
-            while self.t <= self.cfg.horizon {
+            while self.t <= self.cfg.horizon && !cancelled() {
                 if self.fast_forward_timed(&mut ff_time) > 0 {
                     continue;
                 }
@@ -1303,63 +1124,8 @@ impl<P: BackoffProcess> SlottedEngine<P> {
                 t.steps.add(stepped);
             }
         } else {
-            while self.t <= self.cfg.horizon {
-                self.step_instrumented::<false>();
-            }
-        }
-        &self.metrics
-    }
-
-    /// The cancellable mirror of [`run`](Self::run): the same four
-    /// hoisted loop variants with one extra condition — an acquire load
-    /// of the [`EngineConfig::cancel`] token — per slot. Idle runs are
-    /// still absorbed in a single fast-forward jump before the next
-    /// poll, so cancellation latency is bounded by one busy slot plus
-    /// one idle run. A run whose token never fires performs the same
-    /// mutations in the same order as [`run`](Self::run) and is
-    /// bit-identical to it.
-    fn run_cancellable(&mut self) -> &Metrics {
-        let token = self
-            .cfg
-            .cancel
-            .clone()
-            .expect("run_cancellable requires an installed token");
-        let fast = self.cfg.fast_forward && !self.cfg.emit_snapshots && self.observers.is_empty();
-        self.hint_valid = false;
-        if self.timers.is_none() && self.observers.is_empty() {
-            if fast {
-                while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                    if self.fast_forward_idle() == 0 {
-                        self.step_inner::<true>();
-                        self.steps += 1;
-                    }
-                }
-            } else {
-                while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                    self.step_inner::<false>();
-                    self.steps += 1;
-                }
-            }
-        } else if fast {
-            let started = std::time::Instant::now();
-            let mut stepped = 0u64;
-            let mut ff_time = std::time::Duration::ZERO;
-            while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                if self.fast_forward_timed(&mut ff_time) > 0 {
-                    continue;
-                }
-                self.step_inner::<true>();
-                self.steps += 1;
-                stepped += 1;
-            }
-            if let Some(t) = &self.timers {
-                t.step
-                    .record_many(stepped, started.elapsed().saturating_sub(ff_time));
-                t.steps.add(stepped);
-            }
-        } else {
-            while self.t <= self.cfg.horizon && !token.is_cancelled() {
-                self.step_instrumented::<false>();
+            while self.t <= self.cfg.horizon && !cancelled() {
+                self.step_instrumented();
             }
         }
         &self.metrics
@@ -1613,7 +1379,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one station")]
     fn empty_station_set_rejected() {
-        let _ = SlottedEngine::<Backoff1901>::new(quick_cfg(1e6), vec![], 0);
+        let _ = SlottedEngine::new::<Backoff1901>(quick_cfg(1e6), vec![], 0);
     }
 
     #[test]

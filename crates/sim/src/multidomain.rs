@@ -294,8 +294,6 @@ fn run_isolated(
         emit_wire_events: true,
         beacons: None,
         noise: sim.noise.clone(),
-        fast_forward: sim.fast_forward,
-        soa: sim.soa,
         cancel: sim.cancel.clone(),
     };
     let mut engine = SlottedEngine::try_new(cfg, stations, seed)?;
@@ -844,8 +842,9 @@ impl<'a> Coordinator<'a> {
             }
         }
 
-        // The legacy per-object collision pass: colliders fail or drop,
-        // bystanders with traffic sense busy — one ascending sweep.
+        // The collision pass, in the single-domain engine's draw order:
+        // colliders fail or drop, bystanders with traffic sense busy —
+        // one ascending sweep.
         let mut txi = 0usize;
         for i in 0..cell.stations.len() {
             if txi < tx.len() && tx[txi] == i {

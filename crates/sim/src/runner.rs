@@ -61,8 +61,6 @@ pub struct Simulation {
     pub(crate) beacons: Option<crate::engine::BeaconSchedule>,
     pub(crate) noise: Vec<plc_faults::NoiseBurst>,
     pub(crate) snapshots: bool,
-    pub(crate) fast_forward: bool,
-    pub(crate) soa: bool,
     pub(crate) cancel: Option<plc_core::CancelToken>,
     pub(crate) sinks: Vec<SharedSink>,
     pub(crate) observers: Vec<(SharedObserver, u64)>,
@@ -88,8 +86,6 @@ impl std::fmt::Debug for Simulation {
             .field("beacons", &self.beacons)
             .field("noise", &self.noise.len())
             .field("snapshots", &self.snapshots)
-            .field("fast_forward", &self.fast_forward)
-            .field("soa", &self.soa)
             .field("cancel", &self.cancel.is_some())
             .field("sinks", &self.sinks.len())
             .field("observers", &self.observers.len())
@@ -122,8 +118,6 @@ impl Simulation {
             beacons: None,
             noise: Vec::new(),
             snapshots: false,
-            fast_forward: true,
-            soa: true,
             cancel: None,
             sinks: Vec::new(),
             observers: Vec::new(),
@@ -167,21 +161,6 @@ impl Simulation {
     pub fn config(mut self, config: CsmaConfig) -> Self {
         self.config = config;
         self
-    }
-
-    /// Override the station count.
-    ///
-    /// Deprecated: the station count now lives in the [`Topology`];
-    /// construct with [`ieee1901(n)`](Simulation::ieee1901) /
-    /// [`dcf(n)`](Simulation::dcf) for the fully-connected case or set a
-    /// [`topology`](Simulation::topology) explicitly. Sweeps restamp the
-    /// count internally.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set the station count via ieee1901(n)/dcf(n) or Simulation::topology(...)"
-    )]
-    pub fn num_stations(self, n: usize) -> Self {
-        self.set_num_stations(n)
     }
 
     /// Restamp the station count onto this template (sweep internals).
@@ -309,34 +288,15 @@ impl Simulation {
         self
     }
 
-    /// Enable or disable the engine's idle-slot fast-forward (on by
-    /// default). The optimization is exact — traces, metrics and sweep
-    /// output are byte-identical either way — so disabling it is only
-    /// useful for benchmarking the slow path or for debugging.
-    pub fn fast_forward(mut self, enabled: bool) -> Self {
-        self.fast_forward = enabled;
-        self
-    }
-
-    /// Enable or disable the struct-of-arrays contention core (on by
-    /// default). Like fast-forward, the SoA core is exact — reports,
-    /// traces and sweep output are byte-identical either way — so
-    /// disabling it only matters for benchmarking the per-object
-    /// reference path or for debugging.
-    pub fn soa(mut self, enabled: bool) -> Self {
-        self.soa = enabled;
-        self
-    }
-
     /// Install a cooperative [`CancelToken`](plc_core::CancelToken):
     /// the slotted engine polls it once per slot and returns early when
     /// it fires, leaving partial metrics behind (the report computed
     /// from them covers only the simulated time actually run — check
     /// [`CancelToken::is_cancelled`](plc_core::CancelToken::is_cancelled)
     /// afterwards and discard the report if exactness matters, as the
-    /// `plc-jobs` watchdog does). Without a token the engine dispatches
-    /// to its exact pre-cancellation loops, so support is zero-cost
-    /// when unused. The deterministic mean-field backend solves in
+    /// `plc-jobs` watchdog does). Without a token the engine's run loop
+    /// compiles without the poll, so support is zero-cost when
+    /// unused. The deterministic mean-field backend solves in
     /// microseconds and ignores the token.
     pub fn cancel(mut self, token: plc_core::CancelToken) -> Self {
         self.cancel = Some(token);
@@ -372,14 +332,15 @@ impl Simulation {
     ///
     /// On invalid configuration; [`try_build`](Simulation::try_build)
     /// returns the error instead.
-    pub fn build(&self) -> SlottedEngine<AnyBackoff> {
+    pub fn build(&self) -> SlottedEngine {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build the engine, surfacing configuration problems (overlapping
-    /// noise bursts, invalid timing, metric-name clashes in the attached
-    /// registry) as typed errors instead of panicking.
-    pub fn try_build(&self) -> plc_core::error::Result<SlottedEngine<AnyBackoff>> {
+    /// noise bursts, invalid timing, a contention table the engine's
+    /// struct-of-arrays core cannot pack, metric-name clashes in the
+    /// attached registry) as typed errors instead of panicking.
+    pub fn try_build(&self) -> plc_core::error::Result<SlottedEngine> {
         if self.backend != Backend::Slotted {
             return Err(plc_core::error::Error::invalid_config(
                 "the mean-field backend has no slotted engine to build; \
@@ -424,8 +385,6 @@ impl Simulation {
             emit_wire_events: true,
             beacons: self.beacons,
             noise: self.noise.clone(),
-            fast_forward: self.fast_forward,
-            soa: self.soa,
             cancel: self.cancel.clone(),
         };
         let mut engine = SlottedEngine::try_new(cfg, stations, self.seed)?;
@@ -571,22 +530,6 @@ impl Simulation {
             return reject("periodic observers");
         }
         Ok(())
-    }
-
-    /// Build with the given sinks attached, run, and summarize.
-    ///
-    /// Deprecated: every internal call site now goes through
-    /// [`sink`](Simulation::sink) + [`run`](Simulation::run); only the
-    /// compatibility test below still calls this. It will be **removed in
-    /// 0.2.0** along with its test.
-    #[deprecated(
-        since = "0.1.0",
-        note = "attach sinks with Simulation::sink(...) and call run(); removal planned for 0.2.0"
-    )]
-    pub fn run_with_sinks(&self, sinks: Vec<SharedSink>) -> SimReport {
-        let mut with = self.clone();
-        with.sinks.extend(sinks);
-        with.run()
     }
 
     /// Run `repeats` replications with distinct derived seeds and return
@@ -853,21 +796,6 @@ mod tests {
         let c = *sink.lock();
         assert_eq!(c.successes, r.successes);
         assert_eq!(c.collisions, r.metrics.collision_events);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_with_sinks_matches_builder_sink() {
-        use crate::trace::CountingSink;
-        use parking_lot::Mutex;
-        use std::sync::Arc;
-        let sim = Simulation::ieee1901(2).horizon_us(5e5).seed(9);
-        let a_sink = Arc::new(Mutex::new(CountingSink::default()));
-        let a = sim.clone().sink(a_sink.clone()).run();
-        let b_sink = Arc::new(Mutex::new(CountingSink::default()));
-        let b = sim.run_with_sinks(vec![b_sink.clone()]);
-        assert_eq!(a, b);
-        assert_eq!(*a_sink.lock(), *b_sink.lock());
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Byte-identity pins for the idle-slot fast-forward.
 //!
-//! The engine's fast path absorbs runs of guaranteed-idle slots in one
-//! jump (see `SlottedEngine::run`). The optimization claims *exactness*:
-//! with it on or off, the event trace, the metrics struct and the sweep
-//! JSON export are byte-for-byte identical — not statistically close,
-//! identical. These tests pin that claim across every feature that
-//! interacts with the skip bound: both protocols, beacons, impulse
-//! noise, unsaturated traffic, PB errors, bursts, and the multi-class
-//! engine's PRS-aware variant. A property test drives randomized beacon
-//! and noise schedules through both paths.
+//! The engine's run loop absorbs runs of guaranteed-idle slots in one
+//! jump (see `SlottedEngine::run`). Attaching an observer forces the
+//! per-slot loop instead, since observers need every step materialized;
+//! observers are read-only, so one at interval `u64::MAX` (it never
+//! fires) turns the same simulation into its per-slot reference. The
+//! optimization claims *exactness*: the event trace, the metrics struct
+//! and the sweep JSON export are byte-for-byte identical on both loops —
+//! not statistically close, identical. These tests pin that claim across
+//! every feature that interacts with the skip bound: both protocols,
+//! beacons, impulse noise, unsaturated traffic, PB errors, bursts, and
+//! the multi-class engine's PRS-aware variant. A property test drives
+//! randomized beacon and noise schedules through both loops.
 
 use parking_lot::Mutex;
 use plc_faults::NoiseBurst;
@@ -19,13 +22,25 @@ use plc_sim::traffic::TrafficModel;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Run `sim` twice — fast-forward on and off — and assert the reports
-/// and full event traces match exactly. Returns the (shared) report.
+/// An observer that never fires: attached at interval `u64::MAX`, it
+/// only forces the engine onto its per-slot loop.
+struct Stepper;
+
+impl plc_obs::Observer for Stepper {}
+
+/// `sim` on the per-slot loop.
+fn per_slot(sim: Simulation) -> Simulation {
+    sim.observer(plc_obs::shared(Stepper), u64::MAX)
+}
+
+/// Run `sim` twice — as is (fast-forward) and on the per-slot loop — and
+/// assert the reports and full event traces match exactly. Returns the
+/// (shared) report.
 fn assert_ff_equivalent(sim: Simulation) -> (SimReport, Vec<TraceEvent>) {
     let fast_sink = Arc::new(Mutex::new(VecTraceSink::new()));
     let slow_sink = Arc::new(Mutex::new(VecTraceSink::new()));
-    let fast = sim.clone().fast_forward(true).sink(fast_sink.clone()).run();
-    let slow = sim.fast_forward(false).sink(slow_sink.clone()).run();
+    let fast = sim.clone().sink(fast_sink.clone()).run();
+    let slow = per_slot(sim).sink(slow_sink.clone()).run();
     assert_eq!(fast, slow, "reports must be identical");
     let fast_events = std::mem::take(&mut fast_sink.lock().events);
     let slow_events = &slow_sink.lock().events;
@@ -159,12 +174,10 @@ fn equivalent_everything_at_once() {
 fn sweep_json_is_byte_identical() {
     use plc_sim::sweep::SweepGrid;
     let json = |ff: bool| {
+        let loop_of = |sim: Simulation| if ff { sim } else { per_slot(sim) };
         SweepGrid::new(11)
-            .config(
-                "1901",
-                Simulation::ieee1901(2).horizon_us(5e5).fast_forward(ff),
-            )
-            .config("dcf", Simulation::dcf(2).horizon_us(5e5).fast_forward(ff))
+            .config("1901", loop_of(Simulation::ieee1901(2).horizon_us(5e5)))
+            .config("dcf", loop_of(Simulation::dcf(2).horizon_us(5e5)))
             .stations([1, 2, 5])
             .replications(2)
             .workers(2)
@@ -230,7 +243,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized beacon/noise schedules: the fast path must stop at
-    /// every beacon and noise edge exactly where the slow path does, so
+    /// every beacon and noise edge exactly where the per-slot loop does, so
     /// traces, beacon counts and PB error totals all agree.
     #[test]
     fn skips_never_jump_past_beacon_or_noise_edges(
@@ -256,8 +269,8 @@ proptest! {
             .noise(noise);
         let fast_sink = Arc::new(Mutex::new(VecTraceSink::new()));
         let slow_sink = Arc::new(Mutex::new(VecTraceSink::new()));
-        let fast = sim.clone().fast_forward(true).sink(fast_sink.clone()).run();
-        let slow = sim.fast_forward(false).sink(slow_sink.clone()).run();
+        let fast = sim.clone().sink(fast_sink.clone()).run();
+        let slow = per_slot(sim).sink(slow_sink.clone()).run();
         prop_assert_eq!(&fast.metrics, &slow.metrics);
         prop_assert_eq!(fast.metrics.beacons, slow.metrics.beacons);
         let fe = std::mem::take(&mut fast_sink.lock().events);

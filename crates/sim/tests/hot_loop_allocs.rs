@@ -58,12 +58,13 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Build + run the given scenario and return its allocation count.
 /// Successes are asserted so a silently-idle run can't pass vacuously.
-fn engine_allocs(horizon_us: f64, fast_forward: bool, soa: bool) -> u64 {
+/// `per_slot` emits per-slot snapshots with no sink attached, which
+/// selects the per-slot loop instead of idle fast-forward.
+fn engine_allocs(horizon_us: f64, per_slot: bool) -> u64 {
     let sim = Simulation::ieee1901(10)
         .horizon_us(horizon_us)
         .seed(42)
-        .fast_forward(fast_forward)
-        .soa(soa);
+        .snapshots(per_slot);
     let (report, count) = allocs_during(|| sim.run());
     assert!(report.successes > 0);
     count
@@ -74,8 +75,8 @@ fn saturated_run_does_not_allocate_per_step() {
     // Doubling the horizon doubles the steps; if the steady-state loop
     // allocated even once per step, the counts would differ by
     // thousands. Build-time and warmup allocations are identical.
-    let short = engine_allocs(1e6, true, true);
-    let long = engine_allocs(2e6, true, true);
+    let short = engine_allocs(1e6, false);
+    let long = engine_allocs(2e6, false);
     assert_eq!(
         short, long,
         "hot loop allocated ({long} allocs at 2x horizon vs {short})"
@@ -84,16 +85,9 @@ fn saturated_run_does_not_allocate_per_step() {
 
 #[test]
 fn per_slot_path_does_not_allocate_per_step() {
-    let short = engine_allocs(1e6, false, true);
-    let long = engine_allocs(2e6, false, true);
+    let short = engine_allocs(1e6, true);
+    let long = engine_allocs(2e6, true);
     assert_eq!(short, long, "per-slot path allocated per step");
-}
-
-#[test]
-fn object_reference_path_does_not_allocate_per_step() {
-    let short = engine_allocs(1e6, true, false);
-    let long = engine_allocs(2e6, true, false);
-    assert_eq!(short, long, "per-object path allocated per step");
 }
 
 #[test]

@@ -420,54 +420,53 @@ fn spatial_topologies_gate_unsupported_knobs() {
 }
 
 // ---------------------------------------------------------------------
-// SoA fallback: the rejection reason is typed and counted.
+// Unpackable contention tables: a typed error, never a silent fallback.
 // ---------------------------------------------------------------------
 
 #[test]
-fn soa_fallback_reason_is_typed_and_counted() {
+fn unpackable_tables_are_typed_config_errors() {
     use plc_core::config::CsmaConfig;
-    // dc = 0xFFFF is a legal MAC parameter but collides with the packed
-    // disabled-DC sentinel, so the SoA core must decline — with a reason.
-    let cfg = CsmaConfig::from_vectors(&[8, 16], &[0xFFFF, 0xFFFF]).unwrap();
-    let registry = plc_obs::Registry::new();
-    let sim = Simulation::ieee1901(2)
-        .config(cfg.clone())
-        .horizon_us(2e5)
-        .seed(1)
-        .registry(&registry);
-    let engine = sim.try_build().unwrap();
-    let why = engine
-        .soa_rejection()
-        .expect("unrepresentable DC must surface a rejection reason");
-    assert!(
-        why.to_string().contains("disabled-DC sentinel"),
-        "unexpected reason: {why}"
-    );
-    assert_eq!(
-        registry.snapshot().counter("engine.soa_fallbacks"),
-        Some(1),
-        "the fallback must be counted"
-    );
-    // The per-object fallback is exact: same results as soa(false).
-    let with_fallback = sim.run();
-    let reference = Simulation::ieee1901(2)
-        .config(cfg)
-        .horizon_us(2e5)
-        .seed(1)
-        .soa(false)
-        .run();
-    assert_eq!(with_fallback, reference);
-}
-
-#[test]
-fn representable_configs_do_not_count_fallbacks() {
-    let registry = plc_obs::Registry::new();
-    Simulation::ieee1901(2)
-        .horizon_us(2e5)
-        .seed(1)
-        .registry(&registry)
-        .run();
-    assert_eq!(registry.snapshot().counter("engine.soa_fallbacks"), Some(0));
+    use plc_core::error::Error;
+    // Both are legal MAC parameter tables, but the struct-of-arrays core
+    // cannot pack them: dc = 0xFFFF collides with the packed disabled-DC
+    // sentinel, and the stage array holds at most 256 stages.
+    let cases = [
+        (
+            CsmaConfig::from_vectors(&[8, 16], &[0xFFFF, 0xFFFF]).unwrap(),
+            "disabled-DC sentinel",
+        ),
+        (
+            CsmaConfig::from_vectors(&[8; 257], &[0; 257]).unwrap(),
+            "stage table of 257 entries",
+        ),
+    ];
+    for (cfg, reason) in cases {
+        let sim = Simulation::ieee1901(2)
+            .config(cfg)
+            .horizon_us(2e5)
+            .seed(1)
+            .registry(&plc_obs::Registry::new());
+        for err in [
+            sim.try_build().err().expect("try_build must refuse"),
+            sim.try_run().expect_err("try_run must refuse"),
+        ] {
+            assert!(
+                matches!(err, Error::InvalidConfig { .. }),
+                "not a config error: {err}"
+            );
+            assert!(err.to_string().contains(reason), "unexpected reason: {err}");
+        }
+        // `run` has no fallback path to take: it panics with the reason.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("run must not fall back");
+        let msg = panic
+            .downcast_ref::<String>()
+            .expect("panic carries the error message");
+        assert!(msg.contains(reason), "unexpected panic: {msg}");
+    }
+    // The standard tables pack.
+    Simulation::ieee1901(2).horizon_us(2e5).try_build().unwrap();
+    Simulation::dcf(2).horizon_us(2e5).try_build().unwrap();
 }
 
 #[test]
