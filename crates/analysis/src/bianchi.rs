@@ -12,7 +12,7 @@
 //!
 //! solved as a fixed point. This closed form is also the analytic
 //! cross-check for the general stage-chain machinery in
-//! [`crate::model1901`]: a 1901 model with every deferral counter disabled
+//! [`crate::meanfield`]: a 1901 model with every deferral counter disabled
 //! must coincide with it (the workspace tests assert this within numerical
 //! tolerance — note the two models are derived with the same slot
 //! accounting, so agreement is exact up to the solver).
@@ -112,7 +112,7 @@ impl BianchiModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model1901::Model1901;
+    use crate::meanfield::MeanFieldModel;
     use plc_core::config::CsmaConfig;
 
     #[test]
@@ -149,10 +149,12 @@ mod tests {
     fn general_model_with_dc_disabled_matches_bianchi() {
         // The stage-chain model with d_i = ∞ and doubling windows must
         // reproduce Bianchi's τ — they implement the same Markov chain.
-        let general = Model1901::new(CsmaConfig::dcf_like(16, 6).unwrap());
         let closed = BianchiModel::classic();
         for n in [2usize, 5, 10, 20] {
-            let a = general.solve(n);
+            let general = MeanFieldModel::single(CsmaConfig::dcf_like(16, 6).unwrap(), n)
+                .solve()
+                .unwrap();
+            let a = &general.classes[0];
             let b = closed.solve(n);
             assert!(
                 (a.tau - b.tau).abs() < 1e-6,
@@ -188,10 +190,12 @@ mod tests {
         // Figure-2-style comparison at the model level: DCF with 1901's
         // windows vs 1901 with deferral.
         let dcf = BianchiModel::with_1901_windows();
-        let p1901 = Model1901::default_ca1();
         for n in [3usize, 5, 10] {
+            let p1901 = MeanFieldModel::single(CsmaConfig::ieee1901_ca01(), n)
+                .solve()
+                .unwrap();
             assert!(
-                p1901.solve(n).collision_probability < dcf.solve(n).collision_probability,
+                p1901.classes[0].collision_probability < dcf.solve(n).collision_probability,
                 "N={n}"
             );
         }

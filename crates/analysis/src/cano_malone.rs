@@ -3,7 +3,7 @@
 //! Analysis" — PAPERS.md): the **deterministic-deferral** approximation
 //! of the 1901 backoff stage.
 //!
-//! Where [`crate::model1901`] tracks the full binomial distribution of
+//! Where [`crate::meanfield`] tracks the full binomial distribution of
 //! busy slots within a backoff (`x_i = (1/W) Σ_b P(Bin(b, p) ≤ d_i)`),
 //! the Cano & Malone-style expression replaces the random arrival of the
 //! `(d_i+1)`-th busy slot by its deterministic deadline
@@ -24,7 +24,7 @@
 //! test below).
 
 use crate::math::bisect_decreasing;
-use crate::model1901::{stage_visit_counts, tau_from_stages, StageQuantities};
+use crate::meanfield::{stage_visit_counts, tau_from_stages, StageQuantities};
 use plc_core::config::{CsmaConfig, DC_DISABLED};
 use serde::{Deserialize, Serialize};
 
@@ -130,22 +130,21 @@ impl CanoMaloneModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model1901::{stage_quantities, Model1901};
+    use crate::meanfield::{stage_quantities, MeanFieldModel};
 
     #[test]
     fn collapses_to_binomial_model_without_deferral() {
         // d = ∞: the deadline never exists, both per-stage responses are
         // the plain uniform backoff — the fixed points must coincide.
         let config = CsmaConfig::dcf_like(8, 4).unwrap();
-        let reference = Model1901::new(config.clone());
-        let cm = CanoMaloneModel::new(config);
+        let cm = CanoMaloneModel::new(config.clone());
         for n in [2usize, 5, 10, 50] {
-            let a = reference.solve(n);
+            let a = MeanFieldModel::single(config.clone(), n).solve().unwrap();
             let b = cm.solve(n);
             assert!(
-                (a.tau - b.tau).abs() < 1e-10,
+                (a.classes[0].tau - b.tau).abs() < 1e-10,
                 "N={n}: binomial τ={:.12} vs deterministic τ={:.12}",
-                a.tau,
+                a.classes[0].tau,
                 b.tau
             );
         }
@@ -166,9 +165,11 @@ mod tests {
         // The whole point of the second reference: with deferral on, the
         // deterministic deadline is a *different* approximation. Same
         // ballpark, but measurably apart.
-        let bin = Model1901::default_ca1();
+        let bin = MeanFieldModel::single(CsmaConfig::ieee1901_ca01(), 10)
+            .solve()
+            .unwrap();
         let det = CanoMaloneModel::default_ca1();
-        let gamma_bin = bin.solve(10).collision_probability;
+        let gamma_bin = bin.classes[0].collision_probability;
         let gamma_det = det.solve(10).collision_probability;
         let gap = (gamma_bin - gamma_det).abs();
         assert!(gap > 1e-3, "models should not coincide: gap {gap:.2e}");

@@ -7,7 +7,7 @@
 //! them for comparison — studying these modelling assumptions is the
 //! subject of the companion analysis the report cites as \[5\]):
 //!
-//! * the slot-level decoupling of [`crate::model1901`] overestimates
+//! * the slot-level decoupling of [`crate::meanfield`] overestimates
 //!   collisions at small N — all stations restart their countdowns
 //!   together after every transmission, and the deferral counter parks
 //!   recent losers at *larger* windows than the population average, so
@@ -569,9 +569,12 @@ mod tests {
                 .unwrap()
                 .collision_pr;
             let coupled = CoupledModel::default_ca1().solve(n).collision_probability;
-            let decoupled = crate::model1901::Model1901::default_ca1()
-                .solve(n)
-                .collision_probability;
+            let decoupled =
+                crate::meanfield::MeanFieldModel::single(CsmaConfig::ieee1901_ca01(), n)
+                    .solve()
+                    .unwrap()
+                    .classes[0]
+                    .collision_probability;
             let round = crate::round_model::RoundModel::default_ca1()
                 .solve(n)
                 .collision_probability;

@@ -59,7 +59,7 @@
 //! each slot it skips would add exactly `+0.0`.
 
 use crate::math::bisect_decreasing_iters;
-use crate::model1901::stage_quantities_for;
+use crate::meanfield::stage_quantities_for;
 use plc_core::config::CsmaConfig;
 use plc_core::error::{Error, Result};
 use plc_core::timing::MacTiming;

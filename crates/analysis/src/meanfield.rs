@@ -1,13 +1,42 @@
-//! Multi-class mean-field (decoupling) fixed point with convergence
-//! diagnostics — the solver behind the [`Backend::MeanField`] engine
-//! backend in `plc-sim`.
+//! Mean-field (decoupling) fixed point of the IEEE 1901 backoff process
+//! for one or several station classes, with convergence diagnostics —
+//! the slot-decoupled "Analysis" model of the paper's companion analysis
+//! (Vlachou et al., ICNP 2014 — reference \[5\] of the report) and the
+//! solver behind the [`Backend::MeanField`] engine backend in `plc-sim`.
 //!
-//! [`crate::model1901`] solves the single-class fixed point by scalar
-//! bisection, which is bulletproof but does not generalize: with several
-//! station classes (different CSMA schedules sharing one contention
-//! domain, as in the ToN extension of the paper) the fixed point lives in
-//! `[0,1]^C` and there is no scalar function to bisect. This module
-//! solves the coupled system
+//! ## Model
+//!
+//! Under the decoupling assumption a station sees, in every backoff slot,
+//! an i.i.d. probability `p` that *some other* station transmits (the
+//! slot is "busy" / an attempt collides). The 1901 per-stage behaviour
+//! then yields, for stage `i` with window `W_i` and deferral value `d_i`
+//! ([`stage_quantities`]):
+//!
+//! * **attempt probability** — entering stage `i`, the station draws
+//!   `BC = b ~ U{0…W_i−1}` and attempts iff at most `d_i` of those `b`
+//!   pre-attempt slots are busy (otherwise the deferral counter expires
+//!   first and it jumps):
+//!   `x_i = (1/W_i) Σ_b P(Bin(b, p) ≤ d_i)`;
+//! * **expected slots spent** — the station leaves stage `i` after
+//!   `min(b, T)` backoff slots, `T` the arrival slot of the `(d_i+1)`-th
+//!   busy slot:
+//!   `s_i = (1/W_i) Σ_b Σ_{t<b} P(Bin(t, p) ≤ d_i)`, plus one slot for the
+//!   attempt itself when it happens;
+//! * **stage chain** — a stage visit ends the renewal cycle with
+//!   probability `q_i = x_i (1−p)` (attempt and succeed); otherwise the
+//!   station moves to stage `min(i+1, m−1)`.
+//!
+//! Renewal–reward over a success-to-success cycle gives a class's response
+//! `τ = F(p) = Σ E_i x_i / Σ E_i (s_i + x_i)`, with `E_i` the expected
+//! visits to stage `i` per cycle. Setting every `d_i = ∞` recovers a
+//! Bianchi-style model of binary-exponential backoff (cross-checked
+//! against the closed form in [`crate::bianchi`]).
+//!
+//! ## Solver
+//!
+//! With several station classes (different CSMA schedules sharing one
+//! contention domain, as in the ToN extension of the paper) the fixed
+//! point lives in `[0,1]^C`. This module solves the coupled system
 //!
 //! ```text
 //! τ_c = F_c(p_c)                       (per-class renewal–reward response)
@@ -22,27 +51,147 @@
 //! reach the tolerance within the iteration cap it returns a typed
 //! [`plc_core::error::Error::Runtime`] carrying the diagnostics, and a
 //! successful solve reports the iteration count and final residual in
-//! [`SolverDiagnostics`].
+//! [`SolverDiagnostics`]. A lone station sees `p = 0` exactly and needs
+//! no iteration.
+//!
+//! ## Which fixed point
+//!
+//! The fixed point need not be unique, and the residual certifies *a*
+//! fixed point, not the only one. For tables whose windows never shrink
+//! from one stage to the next, `F(p(τ)) − τ` changed sign exactly once in
+//! every one of 1600 random single-class cases (1–5 stages, windows
+//! 2…256, random deferral, N ∈ {2, 5, 12, 30}). That is evidence, not a
+//! proof: with deferral on, `F` need not even be monotone (`[8, 8]` /
+//! `[0, −]` dips below its `p = 0` and `p = 1` values in between).
+//! Tables whose windows shrink can have three roots: 40 of 1600 random
+//! such cases had more than one sign change, and `[16, 128, 32, 4, 2]` /
+//! `[−, −, 30, 6, −]` at N = 12 has τ ≈ 0.045, 0.29 and 0.67. The damped iteration starts each class at
+//! `F(1/2)` and settles on a root where the response crosses the
+//! diagonal from above, since one crossed from below repels the damped
+//! step: for that table it returns τ = 0.0449, where the slotted engine
+//! sits (τ ≈ 0.046), not the middle or the top root.
 //!
 //! ## Validity envelope
 //!
 //! The decoupling assumption treats the busy process seen by a station as
 //! i.i.d. across slots. That is exact as `N → ∞` and demonstrably wrong
 //! at small `N`, where all stations restart together after every
-//! transmission (see `decoupling_overestimates_at_small_n` in
-//! [`crate::model1901`]). [`gamma_tolerance`] / [`throughput_tolerance`]
-//! encode the documented error envelope used by the cross-validation
-//! suite and the `validate-backends` experiment; see DESIGN.md §"Analytic
-//! backends".
+//! transmission (see the `decoupling_overestimates_at_small_n` test).
+//! [`gamma_tolerance`] / [`throughput_tolerance`] encode the documented
+//! error envelope used by the cross-validation suite and the
+//! `validate-backends` experiment; see DESIGN.md §"Analytic backends".
 //!
 //! [`Backend::MeanField`]: https://docs.rs/plc-sim
 
-use crate::model1901::{stage_quantities_for, stage_visit_counts, tau_from_stages};
+use crate::math::BinomialCdfTracker;
 use crate::throughput::{normalized_throughput, SlotProbabilities};
-use plc_core::config::CsmaConfig;
+use plc_core::config::{CsmaConfig, DC_DISABLED};
 use plc_core::error::{Error, Result};
 use plc_core::timing::MacTiming;
 use serde::{Deserialize, Serialize};
+
+/// Per-stage quantities at a given busy probability.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct StageQuantities {
+    /// Probability of attempting a transmission during a visit to this
+    /// stage (vs jumping via the deferral counter).
+    pub attempt_prob: f64,
+    /// Expected backoff slots spent during a visit (excluding the attempt
+    /// slot).
+    pub backoff_slots: f64,
+}
+
+/// Compute `x_i` and `s_i` for one stage. O(W · d).
+pub fn stage_quantities(w: u32, d: u32, p: f64) -> StageQuantities {
+    assert!(w >= 1);
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "busy probability out of range: {p}"
+    );
+    if d == DC_DISABLED || p == 0.0 {
+        // No deferral (or never busy): always attempts, mean backoff
+        // (W−1)/2.
+        return StageQuantities {
+            attempt_prob: 1.0,
+            backoff_slots: (w as f64 - 1.0) / 2.0,
+        };
+    }
+    // x = (1/W) Σ_{b=0}^{W-1} C(b),   C(b) = P(Bin(b,p) ≤ d)
+    // s = (1/W) Σ_{b=0}^{W-1} Σ_{t=0}^{b-1} C(t)
+    //   = (1/W) Σ_{t=0}^{W-2} (W-1-t) · C(t)
+    let mut tracker = BinomialCdfTracker::new(p, d);
+    let wf = w as f64;
+    let mut x_sum = 0.0;
+    let mut s_sum = 0.0;
+    for b in 0..w as u64 {
+        let c = tracker.cdf(); // C(b)
+        x_sum += c;
+        if b + 1 < w as u64 {
+            s_sum += (w as f64 - 1.0 - b as f64) * c;
+        }
+        tracker.step();
+    }
+    StageQuantities {
+        attempt_prob: x_sum / wf,
+        backoff_slots: s_sum / wf,
+    }
+}
+
+/// Per-stage quantities for every stage of `config` at busy probability
+/// `p` (saturating stage lookup, like the engine's BPC rule).
+pub(crate) fn stage_quantities_for(config: &CsmaConfig, p: f64) -> Vec<StageQuantities> {
+    (0..config.num_stages())
+        .map(|i| {
+            let sp = config.stage(i);
+            stage_quantities(sp.cw, sp.dc, p)
+        })
+        .collect()
+}
+
+/// Expected visits per renewal cycle to each stage, given per-stage
+/// quantities and collision probability `p`.
+pub(crate) fn stage_visit_counts(stages: &[StageQuantities], p: f64) -> Vec<f64> {
+    let m = stages.len();
+    let q: Vec<f64> = stages.iter().map(|s| s.attempt_prob * (1.0 - p)).collect();
+    let mut visits = vec![0.0; m];
+    if m == 1 {
+        visits[0] = if q[0] > 0.0 {
+            1.0 / q[0]
+        } else {
+            f64::INFINITY
+        };
+        return visits;
+    }
+    visits[0] = 1.0;
+    for i in 1..m - 1 {
+        visits[i] = visits[i - 1] * (1.0 - q[i - 1]);
+    }
+    // Last stage self-loops: entries · expected residencies per entry.
+    let entries = visits[m - 2] * (1.0 - q[m - 2]);
+    visits[m - 1] = if q[m - 1] > 0.0 {
+        entries / q[m - 1]
+    } else {
+        f64::INFINITY
+    };
+    visits
+}
+
+/// Renewal–reward attempt rate `τ` of a stage chain. Degenerates to the
+/// last stage's attempt rate when the visit counts diverge (`p → 1`: no
+/// attempt ever succeeds and the chain lives in the absorbing last stage).
+pub(crate) fn tau_from_stages(stages: &[StageQuantities], visits: &[f64]) -> f64 {
+    if visits.iter().any(|v| !v.is_finite()) {
+        let last = stages.last().expect("at least one stage");
+        return last.attempt_prob / (last.backoff_slots + last.attempt_prob);
+    }
+    let mut attempts = 0.0;
+    let mut slots = 0.0;
+    for (i, st) in stages.iter().enumerate() {
+        attempts += visits[i] * st.attempt_prob;
+        slots += visits[i] * (st.backoff_slots + st.attempt_prob);
+    }
+    attempts / slots
+}
 
 /// One class of stations sharing a CSMA schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -435,29 +584,79 @@ pub fn throughput_tolerance(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model1901::Model1901;
+    use crate::math::bisect_decreasing;
+
+    /// Solve one class of `n` stations, unwrapping.
+    fn solve_single(config: CsmaConfig, n: usize) -> MeanFieldSolution {
+        MeanFieldModel::single(config, n).solve().unwrap()
+    }
+
+    /// The scalar reference: bisection of `F(p(τ)) − τ` over `(0, 1)`.
+    /// Valid only where that function has a single sign change, i.e. for
+    /// tables whose windows never shrink (see the module docs).
+    fn bisect_single(config: &CsmaConfig, n: usize) -> f64 {
+        bisect_decreasing(1e-12, 1.0 - 1e-12, |tau| {
+            class_tau(config, 1.0 - (1.0 - tau).powi(n as i32 - 1)) - tau
+        })
+    }
+
+    /// The table whose single-class fixed point has three roots at
+    /// N = 12 (τ ≈ 0.045, 0.29, 0.67; see the module docs).
+    fn three_root_table() -> CsmaConfig {
+        CsmaConfig::from_vectors(
+            &[16, 128, 32, 4, 2],
+            &[DC_DISABLED, DC_DISABLED, 30, 6, DC_DISABLED],
+        )
+        .unwrap()
+    }
 
     #[test]
     fn single_class_matches_bisection() {
-        // The adversarial anchor: the damped multi-class solver must land
-        // on the same fixed point the scalar bisection finds.
-        let model = Model1901::default_ca1();
-        for n in [2usize, 3, 5, 10, 50, 200, 1000] {
-            let fp = model.solve(n);
-            let sol = MeanFieldModel::single(CsmaConfig::ieee1901_ca01(), n)
-                .solve()
-                .unwrap();
-            let mf = &sol.classes[0];
-            assert!(
-                (mf.tau - fp.tau).abs() < 1e-8,
-                "N={n}: mean-field τ={:.10} vs bisection τ={:.10}",
-                mf.tau,
-                fp.tau
-            );
-            assert!((mf.collision_probability - fp.collision_probability).abs() < 1e-7);
-            assert!(sol.diagnostics.converged);
-            assert!(sol.diagnostics.residual <= 1e-12);
+        // The adversarial anchor: on tables whose windows never shrink
+        // the damped multi-class solver must land on the same fixed point
+        // the scalar bisection finds.
+        for config in [
+            CsmaConfig::ieee1901_ca01(),
+            CsmaConfig::ieee1901_ca23(),
+            CsmaConfig::dcf_like(16, 6).unwrap(),
+        ] {
+            for n in [2usize, 3, 5, 10, 50, 200, 1000] {
+                let tau = bisect_single(&config, n);
+                let sol = solve_single(config.clone(), n);
+                let mf = &sol.classes[0];
+                assert!(
+                    (mf.tau - tau).abs() < 1e-8,
+                    "{config:?} N={n}: mean-field τ={:.10} vs bisection τ={tau:.10}",
+                    mf.tau
+                );
+                let p = 1.0 - (1.0 - tau).powi(n as i32 - 1);
+                assert!((mf.collision_probability - p).abs() < 1e-7);
+                assert!(sol.diagnostics.converged);
+                assert!(sol.diagnostics.residual <= 1e-12);
+            }
         }
+    }
+
+    #[test]
+    fn awkward_tables_solve_to_the_physical_root() {
+        // Three roots: the solve must return the low one, where the
+        // slotted engine sits (τ ≈ 0.046, γ ≈ 0.398 at seed 3 over
+        // 2·10⁷ µs, checked in `tau_tracks_simulation_even_where_gamma_does_not`),
+        // not the root near 0.67 a bracketing bisection finds.
+        let config = three_root_table();
+        let sol = solve_single(config.clone(), 12);
+        let c = &sol.classes[0];
+        assert!(sol.diagnostics.residual <= 1e-12);
+        assert!((class_tau(&config, c.collision_probability) - c.tau).abs() <= 1e-12);
+        assert!(c.tau < 0.06, "τ = {} is not the physical root", c.tau);
+
+        // A unit last window attempts every slot it is in, so F(p(τ)) > τ
+        // on all of [0, 1) and the fixed point is τ → 1: no bracket for a
+        // bisection, but a plain solve for the damped iteration.
+        let unit_last = CsmaConfig::from_vectors(&[8, 1], &[0, DC_DISABLED]).unwrap();
+        let sol = solve_single(unit_last, 5);
+        assert!(sol.diagnostics.residual <= 1e-12);
+        assert!(sol.classes[0].tau > 0.99, "τ = {}", sol.classes[0].tau);
     }
 
     #[test]
@@ -533,6 +732,13 @@ mod tests {
         assert!((occ.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(occ.iter().all(|&o| (0.0..=1.0).contains(&o)));
         assert!(sol.classes[0].mean_access_delay_slots > 0.0);
+        let c = &sol.classes[0];
+        assert!(
+            (c.stage_visits[0] - 1.0).abs() < 1e-12,
+            "stage 0 visited once per cycle"
+        );
+        assert!(c.stage_visits.iter().all(|v| v.is_finite() && *v >= 0.0));
+        assert!(c.stage_attempt_probs.iter().all(|x| *x > 0.0 && *x <= 1.0));
     }
 
     #[test]
@@ -592,5 +798,144 @@ mod tests {
         // (1 − τ)^9999 ≈ 1e−78: p rounds to exactly 1.0 in f64.
         assert!(c.collision_probability > 0.99 && c.collision_probability <= 1.0);
         assert!(sol.slots.success > 0.0);
+    }
+
+    #[test]
+    fn stage_quantities_closed_forms() {
+        // No deferral, or a never-busy channel: always attempts after a
+        // mean (W−1)/2 slots.
+        let q = stage_quantities(16, DC_DISABLED, 0.5);
+        assert_eq!((q.attempt_prob, q.backoff_slots), (1.0, 7.5));
+        let q = stage_quantities(8, 0, 0.0);
+        assert_eq!((q.attempt_prob, q.backoff_slots), (1.0, 3.5));
+        // d = 0: attempt iff no busy slot among b, so
+        // x = (1/W) Σ_b (1−p)^b = (1 − (1−p)^W) / (W p) and
+        // s = (1/W) Σ_{t=0}^{W-2} (W-1-t)(1-p)^t.
+        let (w, p) = (8u32, 0.3);
+        let q = stage_quantities(w, 0, p);
+        let expected = (1.0 - (1.0 - p).powi(w as i32)) / (w as f64 * p);
+        assert!((q.attempt_prob - expected).abs() < 1e-12);
+        let s_direct: f64 = (0..w - 1)
+            .map(|t| (w as f64 - 1.0 - t as f64) * (1.0 - p).powi(t as i32))
+            .sum::<f64>()
+            / w as f64;
+        assert!((q.backoff_slots - s_direct).abs() < 1e-12);
+        // p = 1, d = 0: attempt only if b = 0 → x = 1/W; every b ≥ 1
+        // leaves at the first slot → s = (W−1)/W.
+        let q = stage_quantities(8, 0, 1.0);
+        assert!((q.attempt_prob - 1.0 / 8.0).abs() < 1e-12);
+        assert!((q.backoff_slots - 7.0 / 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stage_quantities_monotone_in_p() {
+        // Busier channel → fewer attempts, fewer slots spent per stage.
+        let mut prev = stage_quantities(16, 3, 0.0);
+        for k in 1..=10 {
+            let q = stage_quantities(16, 3, k as f64 / 10.0);
+            assert!(q.attempt_prob <= prev.attempt_prob + 1e-12);
+            assert!(q.backoff_slots <= prev.backoff_slots + 1e-12);
+            prev = q;
+        }
+    }
+
+    #[test]
+    fn decoupling_overestimates_at_small_n() {
+        // The documented failure mode of naive decoupling for 1901 (the
+        // modelling question the paper line studies): at small N the i.i.d.
+        // attempt assumption ignores that all stations restart together
+        // after each transmission with the recent loser pushed to a larger
+        // window, so the model *overestimates* the collision probability.
+        // `crate::coupled` fixes this; here we pin the overestimate so
+        // regressions in either direction are caught.
+        let gamma =
+            |n| solve_single(CsmaConfig::ieee1901_ca01(), n).classes[0].collision_probability;
+        let paper = [(2, 0.074), (3, 0.134), (5, 0.218), (7, 0.267)];
+        for (n, target) in paper {
+            let g = gamma(n);
+            assert!(
+                g > target,
+                "N={n}: decoupled {g:.4} should overestimate paper ≈ {target}"
+            );
+            assert!(
+                g - target < 0.05,
+                "N={n}: decoupled {g:.4} should stay within +0.05 of {target}"
+            );
+        }
+        // The error shrinks as N grows (stations decorrelate).
+        assert!(gamma(7) - 0.267 < gamma(2) - 0.074);
+    }
+
+    #[test]
+    fn collision_probability_orders_with_n_and_table() {
+        let mut prev = 0.0;
+        for n in 1..=20 {
+            let c = &solve_single(CsmaConfig::ieee1901_ca01(), n).classes[0];
+            assert!(c.collision_probability >= prev);
+            assert!(c.tau > 0.0 && c.tau < 1.0);
+            prev = c.collision_probability;
+        }
+        // The CA2/CA3 table caps CW at 32 → more collisions than CA0/CA1
+        // when many stations contend.
+        let gamma = |config| solve_single(config, 10).classes[0].collision_probability;
+        let (p01, p23) = (
+            gamma(CsmaConfig::ieee1901_ca01()),
+            gamma(CsmaConfig::ieee1901_ca23()),
+        );
+        assert!(p23 > p01, "CA2/CA3 {p23} vs CA0/CA1 {p01}");
+        // Same windows, deferral on vs off: deferral reduces τ (stations
+        // escalate without attempting), hence reduces collisions.
+        let with_dc = &solve_single(CsmaConfig::ieee1901_ca01(), 5).classes[0];
+        let without_dc = &solve_single(CsmaConfig::dcf_like(8, 4).unwrap(), 5).classes[0];
+        assert!(with_dc.tau < without_dc.tau);
+        assert!(with_dc.collision_probability < without_dc.collision_probability);
+    }
+
+    #[test]
+    fn tau_tracks_simulation_even_where_gamma_does_not() {
+        // The decoupled model's *attempt rate* is close to the truth; it is
+        // the γ = 1−(1−τ)^(N−1) link that breaks at small N. Measure τ from
+        // the engine (attempts per decision slot per station) and compare,
+        // including the three-root table, whose upper roots are far off.
+        use plc_sim::runner::Simulation;
+        let cases = [
+            (CsmaConfig::ieee1901_ca01(), 2usize, 7u64),
+            (CsmaConfig::ieee1901_ca01(), 5, 7),
+            (three_root_table(), 12, 3),
+        ];
+        for (config, n, seed) in cases {
+            let r = Simulation::ieee1901(n)
+                .config(config.clone())
+                .horizon_us(2e7)
+                .seed(seed)
+                .run();
+            let m = &r.metrics;
+            let decision_slots = m.idle_slots + m.successes + m.collision_events;
+            let tau_sim = (m.successes + m.collided_tx) as f64 / (decision_slots as f64 * n as f64);
+            let tau = solve_single(config, n).classes[0].tau;
+            assert!(
+                (tau - tau_sim).abs() < 0.012,
+                "N={n}: model τ={tau:.4} vs sim τ={tau_sim:.4}"
+            );
+        }
+    }
+
+    #[test]
+    fn throughput_prediction_roughly_tracks_simulation() {
+        // Throughput is less sensitive to the γ error than the collision
+        // probability; the decoupled model stays within a few percent.
+        use plc_sim::paper::PaperSim;
+        let timing = MacTiming::paper_default();
+        for n in [1usize, 3, 5] {
+            let s_model = solve_single(CsmaConfig::ieee1901_ca01(), n).throughput(&timing);
+            let s_sim = PaperSim::with_n_and_time(n, 2e7)
+                .run(5)
+                .unwrap()
+                .norm_throughput;
+            assert!(
+                (s_model - s_sim).abs() < 0.05,
+                "N={n}: model S={s_model:.4} vs sim S={s_sim:.4}"
+            );
+        }
     }
 }

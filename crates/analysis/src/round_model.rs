@@ -1,5 +1,8 @@
-//! Round-based mean-field model of the IEEE 1901 backoff process — the
-//! workspace's primary "Analysis" curve for Figure 2.
+//! Round-based mean-field model of the IEEE 1901 backoff process under
+//! the fresh-redraw assumption — a comparison point in the
+//! model-assumptions experiment (E7), not the workspace's primary
+//! "Analysis" curve: that is [`crate::coupled::CoupledModel`], which
+//! drives Figure 2 and the throughput, delay and priorities experiments.
 //!
 //! ## Why the naive decoupling fails here
 //!
@@ -378,8 +381,10 @@ mod tests {
             .unwrap()
             .collision_pr;
         let round = RoundModel::default_ca1().solve(2).collision_probability;
-        let decoupled = crate::model1901::Model1901::default_ca1()
-            .solve(2)
+        let decoupled = crate::meanfield::MeanFieldModel::single(CsmaConfig::ieee1901_ca01(), 2)
+            .solve()
+            .unwrap()
+            .classes[0]
             .collision_probability;
         assert!(
             (round - sim).abs() < (decoupled - sim).abs(),

@@ -6,7 +6,10 @@
 //! iterations are whole simulations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use plc_analysis::{boost_search, BianchiModel, BoostOptions, CoupledModel, Model1901};
+use plc_analysis::{BianchiModel, CoupledModel, MeanFieldModel};
+use plc_boost::screen::{rank, screen_space};
+use plc_boost::{Portfolio, PortfolioScenario, ScenarioKind, SearchSpace};
+use plc_core::config::CsmaConfig;
 use plc_core::timing::MacTiming;
 use plc_core::units::Microseconds;
 use plc_sim::{PaperSim, Simulation};
@@ -98,13 +101,27 @@ fn bench_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// E3: the boost search (54 fixed-point solves).
+/// E3: the boost search — the analytic screen of the default space (55
+/// fixed-point solves and delay walks) at one saturated N, then the rank.
 fn bench_boost(c: &mut Criterion) {
     let mut g = c.benchmark_group("boost");
     g.sample_size(10);
     let timing = MacTiming::paper_default();
+    let space = SearchSpace::default_space();
+    let saturated = Portfolio {
+        name: "saturated-n10".into(),
+        scenarios: vec![PortfolioScenario {
+            name: "saturated".into(),
+            kind: ScenarioKind::Saturated,
+            stations: vec![10],
+            weight: 1.0,
+        }],
+    };
     g.bench_function("search_n10", |b| {
-        b.iter(|| black_box(boost_search(10, &timing, &BoostOptions::default())))
+        b.iter(|| {
+            let scores = screen_space(&space, &saturated, &timing, None).unwrap();
+            black_box(rank(&scores)[0].label.clone())
+        })
     });
     g.finish();
 }
@@ -148,8 +165,8 @@ fn bench_models_and_engine(c: &mut Criterion) {
             b.iter(|| black_box(m.solve(n).collision_probability))
         });
         g.bench_with_input(BenchmarkId::new("decoupled_solve", n), &n, |b, &n| {
-            let m = Model1901::default_ca1();
-            b.iter(|| black_box(m.solve(n).collision_probability))
+            let m = MeanFieldModel::single(CsmaConfig::ieee1901_ca01(), n);
+            b.iter(|| black_box(m.solve().unwrap().classes[0].collision_probability))
         });
         g.bench_with_input(BenchmarkId::new("bianchi_solve", n), &n, |b, &n| {
             let m = BianchiModel::classic();

@@ -1,8 +1,11 @@
 //! E3 — "boosting": model-guided search for throughput-optimal (CW, DC)
-//! tables, validated by simulation.
+//! tables, validated by simulation. The search is the `plc-boost`
+//! analytic screen of its default space against one saturated operating
+//! point per N; the validation is this experiment's own slotted runs.
 
 use crate::RunOpts;
-use plc_analysis::boost::{boost_search, BoostOptions};
+use plc_boost::screen::{rank, screen_space};
+use plc_boost::{Portfolio, PortfolioScenario, ScenarioKind, ScheduleCandidate, SearchSpace};
 use plc_core::config::{CsmaConfig, DC_DISABLED};
 use plc_core::error::{Error, Result};
 use plc_core::timing::MacTiming;
@@ -23,21 +26,42 @@ pub struct BoostResult {
     pub config: CsmaConfig,
 }
 
+/// The best-screened candidate of `space` for `n` saturated stations.
+fn screen_winner<'a>(
+    space: &'a SearchSpace,
+    n: usize,
+    timing: &MacTiming,
+) -> Result<&'a ScheduleCandidate> {
+    let portfolio = Portfolio {
+        name: format!("saturated-n{n}"),
+        scenarios: vec![PortfolioScenario {
+            name: "saturated".into(),
+            kind: ScenarioKind::Saturated,
+            stations: vec![n],
+            weight: 1.0,
+        }],
+    };
+    let scores = screen_space(space, &portfolio, timing, None)?;
+    let ranked = rank(&scores);
+    let best = ranked
+        .first()
+        .ok_or_else(|| Error::runtime(format!("boost screen ranked no candidates at N={n}")))?;
+    Ok(space
+        .candidate(&best.label)
+        .expect("ranked labels come from the space"))
+}
+
 /// Search and validate at each N, on the deterministic
 /// [`plc_sim::sweep`] pool.
 pub fn results(opts: &RunOpts, ns: &[usize]) -> Result<Vec<BoostResult>> {
     let timing = MacTiming::paper_default();
     let horizon = opts.horizon_us();
+    let space = SearchSpace::default_space();
     sweep::parallel_map(sweep::default_workers(), ns.to_vec(), |_, n| {
-        let best = boost_search(n, &timing, &BoostOptions::default())
-            .into_iter()
-            .next()
-            .ok_or_else(|| {
-                Error::runtime(format!("boost search produced no candidates at N={n}"))
-            })?;
+        let config = screen_winner(&space, n, &timing)?.config()?;
         let default_sim = Simulation::ieee1901(n).horizon_us(horizon).seed(13).run();
         let boosted_sim = Simulation::ieee1901(n)
-            .config(best.config.clone())
+            .config(config.clone())
             .horizon_us(horizon)
             .seed(13)
             .run();
@@ -45,7 +69,7 @@ pub fn results(opts: &RunOpts, ns: &[usize]) -> Result<Vec<BoostResult>> {
             n,
             default_throughput: default_sim.norm_throughput,
             boosted_throughput: boosted_sim.norm_throughput,
-            config: best.config,
+            config,
         })
     })
     .into_iter()
@@ -97,6 +121,24 @@ pub fn run(opts: &RunOpts) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn screen_picks_the_same_winners_at_every_n() {
+        let space = SearchSpace::default_space();
+        let timing = MacTiming::paper_default();
+        for (n, label) in [
+            (2, "cw4-g4-dc1901"),
+            (5, "cw16-g2-dc1901"),
+            (10, "cw128-g1-dcoff"),
+            (20, "cw32-g2-dc1901"),
+        ] {
+            assert_eq!(
+                screen_winner(&space, n, &timing).unwrap().label,
+                label,
+                "N={n}"
+            );
+        }
+    }
 
     #[test]
     fn boosting_helps_at_large_n_not_small() {

@@ -16,7 +16,8 @@
 //!   every N and is the workspace's primary analysis.
 
 use crate::RunOpts;
-use plc_analysis::{CoupledModel, Model1901, RoundModel};
+use plc_analysis::{CoupledModel, MeanFieldModel, RoundModel};
+use plc_core::config::CsmaConfig;
 use plc_core::error::{Error, Result};
 use plc_sim::PaperSim;
 use plc_stats::table::{fmt_prob, Table};
@@ -26,7 +27,6 @@ pub type Row = (usize, f64, f64, f64, f64);
 
 /// All comparison rows for the swept N values.
 pub fn rows(opts: &RunOpts) -> Result<Vec<Row>> {
-    let decoupled = Model1901::default_ca1();
     let round = RoundModel::default_ca1();
     let coupled = CoupledModel::default_ca1();
     (2..=7usize)
@@ -35,10 +35,11 @@ pub fn rows(opts: &RunOpts) -> Result<Vec<Row>> {
                 .run(70 + n as u64)
                 .map_err(|e| Error::runtime(format!("models reference sim N={n}: {e}")))?
                 .collision_pr;
+            let decoupled = MeanFieldModel::single(CsmaConfig::ieee1901_ca01(), n).solve()?;
             Ok((
                 n,
                 sim,
-                decoupled.solve(n).collision_probability,
+                decoupled.classes[0].collision_probability,
                 round.solve(n).collision_probability,
                 coupled.solve(n).collision_probability,
             ))

@@ -213,8 +213,10 @@ mod tests {
         let config = CsmaConfig::ieee1901_ca01();
         let timing = paper_timing();
         let r = meanfield_report(&config, 10, &timing, Microseconds(1e7), None).unwrap();
-        let fp = plc_analysis::Model1901::new(config).solve(10);
-        assert!((r.collision_probability - fp.collision_probability).abs() < 1e-9);
+        let fp = plc_analysis::MeanFieldModel::single(config, 10)
+            .solve()
+            .unwrap();
+        assert!((r.collision_probability - fp.classes[0].collision_probability).abs() < 1e-9);
         assert_eq!(r.jain_fairness, 1.0);
         assert!(r.norm_throughput > 0.4 && r.norm_throughput < 1.0);
     }

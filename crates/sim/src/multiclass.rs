@@ -92,10 +92,6 @@ pub struct MultiClassConfig {
     /// Emit [`TraceEvent::Sof`]/[`TraceEvent::Sack`] wire events (needed by
     /// the testbed sniffer).
     pub emit_wire_events: bool,
-    /// Fast-forward runs of idle slots inside a contention round (default
-    /// `true`); byte-identical to per-slot stepping, see
-    /// [`EngineConfig::fast_forward`](crate::engine::EngineConfig).
-    pub fast_forward: bool,
 }
 
 impl Default for MultiClassConfig {
@@ -105,7 +101,6 @@ impl Default for MultiClassConfig {
             horizon: plc_core::timing::DEFAULT_SIM_TIME,
             burst: BurstPolicy::Single,
             emit_wire_events: true,
-            fast_forward: true,
         }
     }
 }
@@ -284,25 +279,22 @@ impl<P: BackoffProcess> MultiClassEngine<P> {
                     // arrivals/beacons/noise occur inside a round, so the
                     // next min(BC) slots over that set are guaranteed
                     // idle. Same per-slot time/metrics/event replay as
-                    // the single-class engine's fast path.
-                    let skip = if self.cfg.fast_forward {
-                        let mut k = u32::MAX;
-                        let mut ok = true;
-                        for st in &self.stations {
-                            if st.priority == res.winner && st.traffic.has_frame() {
-                                match st.process.idle_skip() {
-                                    Some(bc) if bc > 0 => k = k.min(bc),
-                                    _ => {
-                                        ok = false;
-                                        break;
-                                    }
+                    // the single-class engine's fast path. A process whose
+                    // `idle_skip` is `None` keeps the round per-slot.
+                    let mut k = u32::MAX;
+                    let mut ok = true;
+                    for st in &self.stations {
+                        if st.priority == res.winner && st.traffic.has_frame() {
+                            match st.process.idle_skip() {
+                                Some(bc) if bc > 0 => k = k.min(bc),
+                                _ => {
+                                    ok = false;
+                                    break;
                                 }
                             }
                         }
-                        (ok && k != u32::MAX).then_some(k)
-                    } else {
-                        None
-                    };
+                    }
+                    let skip = (ok && k != u32::MAX).then_some(k);
                     match skip {
                         Some(k) => {
                             for _ in 0..k {

@@ -187,27 +187,69 @@ fn sweep_json_is_byte_identical() {
     assert_eq!(json(true), json(false), "sweep JSON must not change");
 }
 
+/// A process that opts out of idle skipping: it delegates every method
+/// to the wrapped process except `idle_skip`, which keeps the trait
+/// default `None`. Any contention round with such a station backlogged
+/// runs slot by slot, so wrapping every station gives the multi-class
+/// engine's per-slot reference.
+struct NoSkip<P>(P);
+
+impl<P: plc_mac::BackoffProcess> plc_mac::BackoffProcess for NoSkip<P> {
+    fn wants_tx(&self) -> bool {
+        self.0.wants_tx()
+    }
+    fn on_idle_slot(&mut self, rng: &mut dyn rand::RngCore) {
+        self.0.on_idle_slot(rng)
+    }
+    fn on_busy(&mut self, rng: &mut dyn rand::RngCore) {
+        self.0.on_busy(rng)
+    }
+    fn on_tx_success(&mut self, rng: &mut dyn rand::RngCore) {
+        self.0.on_tx_success(rng)
+    }
+    fn on_tx_failure(&mut self, rng: &mut dyn rand::RngCore) {
+        self.0.on_tx_failure(rng)
+    }
+    fn reset(&mut self, rng: &mut dyn rand::RngCore) {
+        self.0.reset(rng)
+    }
+    fn consume_idle_slots(&mut self, n: u32) {
+        self.0.consume_idle_slots(n)
+    }
+    fn soa_view(&self) -> plc_mac::SoaView {
+        self.0.soa_view()
+    }
+    fn protocol(&self) -> plc_mac::Protocol {
+        self.0.protocol()
+    }
+    fn snapshot(&self) -> plc_mac::BackoffSnapshot {
+        self.0.snapshot()
+    }
+}
+
 #[test]
 fn multiclass_prs_equivalence() {
     use plc_core::config::CsmaConfig;
     use plc_core::priority::Priority;
-    use plc_mac::Backoff1901;
+    use plc_mac::{Backoff1901, BackoffProcess};
     use plc_sim::multiclass::{ClassStationSpec, MultiClassConfig, MultiClassEngine};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    let run = |ff: bool| {
+    fn run<P: BackoffProcess>(
+        wrap: impl Fn(Backoff1901) -> P,
+    ) -> (plc_sim::Metrics, Vec<TraceEvent>) {
         let mut rng = SmallRng::seed_from_u64(21);
         let mut stations = Vec::new();
         for _ in 0..2 {
             stations.push(ClassStationSpec::new(
-                Backoff1901::new(CsmaConfig::ieee1901_ca01(), &mut rng),
+                wrap(Backoff1901::new(CsmaConfig::ieee1901_ca01(), &mut rng)),
                 Priority::CA1,
                 TrafficModel::Saturated,
             ));
         }
         stations.push(ClassStationSpec::new(
-            Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut rng),
+            wrap(Backoff1901::new(CsmaConfig::ieee1901_ca23(), &mut rng)),
             Priority::CA2,
             TrafficModel::Poisson {
                 rate_per_us: 1e-5,
@@ -216,7 +258,6 @@ fn multiclass_prs_equivalence() {
         ));
         let cfg = MultiClassConfig {
             horizon: plc_core::units::Microseconds(2e6),
-            fast_forward: ff,
             ..Default::default()
         };
         let sink = Arc::new(Mutex::new(VecTraceSink::new()));
@@ -225,14 +266,18 @@ fn multiclass_prs_equivalence() {
         engine.run();
         let events = std::mem::take(&mut sink.lock().events);
         (engine.metrics().clone(), events)
-    };
-    let (fast_metrics, fast_events) = run(true);
-    let (slow_metrics, slow_events) = run(false);
+    }
+    let (fast_metrics, fast_events) = run(|p| p);
+    let (slow_metrics, slow_events) = run(NoSkip);
     assert_eq!(fast_metrics, slow_metrics, "multiclass metrics diverged");
     assert_eq!(
         fast_events.len(),
         slow_events.len(),
         "multiclass event counts diverged"
+    );
+    assert!(
+        fast_metrics.idle_slots > 1000,
+        "the run must have idle slots for the skip to absorb"
     );
     for (i, (a, b)) in fast_events.iter().zip(slow_events.iter()).enumerate() {
         assert_eq!(a, b, "multiclass event {i} diverged");

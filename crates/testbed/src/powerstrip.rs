@@ -239,7 +239,6 @@ impl PowerStrip {
             horizon: self.cfg.duration,
             burst: self.cfg.burst,
             emit_wire_events: true,
-            fast_forward: true,
         };
         let mut engine = MultiClassEngine::new(engine_cfg, stations, self.cfg.seed);
         if let Some(registry) = &self.registry {

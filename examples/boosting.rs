@@ -5,19 +5,25 @@
 //! default 1901 table — tuned for small homes — leaves throughput on the
 //! table at larger N. This example:
 //!
-//! 1. uses the analytical model to rank candidate tables per N (cheap:
-//!    one fixed-point solve each),
+//! 1. ranks the `plc-boost` default search space per N with its analytic
+//!    screen (cheap: one mean-field fixed-point solve and one delay walk
+//!    per candidate) against a single saturated operating point,
 //! 2. validates the winner against the default table *by simulation*,
 //! 3. prints the boosted-vs-default comparison.
 //!
+//! The full optimizer (`plc::boost::BoostRun`) adds scenario portfolios
+//! and slotted confirmation rungs on top of the same screen.
+//!
 //! Run with: `cargo run --release --example boosting`
 
+use plc::boost::screen::{rank, screen_space};
+use plc::boost::{PortfolioScenario, ScenarioKind};
 use plc::prelude::*;
-use plc_analysis::boost::{boost_search, BoostOptions};
 use plc_stats::table::{fmt_prob, Table};
 
 fn main() {
     let timing = MacTiming::paper_default();
+    let space = SearchSpace::default_space();
     let mut table = Table::new(vec![
         "N",
         "default S (sim)",
@@ -28,15 +34,26 @@ fn main() {
     ]);
 
     for n in [2usize, 5, 10, 20] {
-        let best = boost_search(n, &timing, &BoostOptions::default())
-            .into_iter()
-            .next()
-            .expect("candidates");
+        let saturated = Portfolio {
+            name: format!("saturated-n{n}"),
+            scenarios: vec![PortfolioScenario {
+                name: "saturated".into(),
+                kind: ScenarioKind::Saturated,
+                stations: vec![n],
+                weight: 1.0,
+            }],
+        };
+        let scores = screen_space(&space, &saturated, &timing, None).expect("screen");
+        let best = space
+            .candidate(&rank(&scores)[0].label)
+            .expect("ranked labels come from the space")
+            .config()
+            .expect("space candidates are valid");
 
         let horizon = 2.0e7;
         let default_sim = Simulation::ieee1901(n).horizon_us(horizon).seed(9).run();
         let boosted_sim = Simulation::ieee1901(n)
-            .config(best.config.clone())
+            .config(best.clone())
             .horizon_us(horizon)
             .seed(9)
             .run();
@@ -47,11 +64,10 @@ fn main() {
             fmt_prob(default_sim.norm_throughput),
             fmt_prob(boosted_sim.norm_throughput),
             format!("{:+.1}%", 100.0 * gain),
-            format!("{:?}", best.config.cw_vector()),
+            format!("{:?}", best.cw_vector()),
             format!(
                 "{:?}",
-                best.config
-                    .dc_vector()
+                best.dc_vector()
                     .iter()
                     .map(|&d| if d == DC_DISABLED {
                         "-".to_string()

@@ -63,7 +63,7 @@ pub use plc_testbed as testbed;
 pub mod prelude {
     pub use plc_analysis::{
         gamma_tolerance, throughput_tolerance, BianchiModel, CanoMaloneModel, CoupledModel,
-        MeanFieldModel, Model1901, RoundModel,
+        MeanFieldModel, RoundModel,
     };
     pub use plc_boost::{BoostConfig, BoostRun, Portfolio, SearchSpace};
     pub use plc_core::config::{CsmaConfig, StageParams, DC_DISABLED};
