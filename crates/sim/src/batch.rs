@@ -16,7 +16,7 @@
 //!   scheduler does (provided the work function is deterministic in
 //!   `(index, item)`).
 //! * **Per-shard registries, merged in shard order** — when a master
-//!   [`Registry`](plc_obs::Registry) is attached, every shard gets a
+//!   [`Registry`] is attached, every shard gets a
 //!   private registry and the shards are folded into the master in
 //!   shard-index order after all workers join
 //!   ([`Registry::merge_from`](plc_obs::Registry::merge_from)).

@@ -24,7 +24,6 @@ use plc_core::mme::{
     StatsControl, MMTYPE_SNIFFER, MMTYPE_STATS,
 };
 use plc_core::priority::Priority;
-use std::collections::HashMap;
 
 /// Statistics are kept per link: peer address, priority class, direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +55,10 @@ impl std::fmt::Debug for DeviceObs {
 pub struct Device {
     mac: MacAddr,
     tei: Tei,
-    stats: HashMap<StatKey, AmpStatCnf>,
+    /// Counters of every link used since the last reset, in first-use
+    /// order. A device talks to few peers (D, the busiest, keeps about
+    /// 2N + 2 links), so a linear scan beats hashing.
+    stats: Vec<(StatKey, AmpStatCnf)>,
     sniffer_enabled: bool,
     captured: Vec<SnifferInd>,
     obs: Option<DeviceObs>,
@@ -73,7 +75,7 @@ impl Device {
         Device {
             mac,
             tei,
-            stats: HashMap::new(),
+            stats: Vec::new(),
             sniffer_enabled: false,
             captured: Vec::new(),
             obs: None,
@@ -144,19 +146,7 @@ impl Device {
     /// error (the MPDU collided but its delimiter was decodable) — both
     /// counters tick, matching the observed `ΣAᵢ` growth with N.
     pub fn record_tx_ack(&mut self, peer: MacAddr, priority: Priority, collided: bool) {
-        let wrap = self.wrap_modulus;
-        let e = self
-            .stats
-            .entry(StatKey {
-                peer,
-                priority,
-                direction: Direction::Tx,
-            })
-            .or_default();
-        e.acked = wrapped(e.acked + 1, wrap);
-        if collided {
-            e.collided = wrapped(e.collided + 1, wrap);
-        }
+        self.count(peer, priority, Direction::Tx, collided);
         if let Some(obs) = &self.obs {
             obs.tx_acked.inc();
             if collided {
@@ -168,19 +158,34 @@ impl Device {
     /// Firmware hook: an MPDU from `peer` was received (receive-side
     /// counters, kept for completeness of the ampstat interface).
     pub fn record_rx(&mut self, peer: MacAddr, priority: Priority, collided: bool) {
+        self.count(peer, priority, Direction::Rx, collided);
+    }
+
+    /// One acknowledged MPDU on a link (a collided one ticks both
+    /// counters).
+    fn count(&mut self, peer: MacAddr, priority: Priority, direction: Direction, collided: bool) {
         let wrap = self.wrap_modulus;
-        let e = self
-            .stats
-            .entry(StatKey {
-                peer,
-                priority,
-                direction: Direction::Rx,
-            })
-            .or_default();
+        let e = self.counters_mut(StatKey {
+            peer,
+            priority,
+            direction,
+        });
         e.acked = wrapped(e.acked + 1, wrap);
         if collided {
             e.collided = wrapped(e.collided + 1, wrap);
         }
+    }
+
+    /// The counters of `key`'s link, zeroed on first use.
+    fn counters_mut(&mut self, key: StatKey) -> &mut AmpStatCnf {
+        let i = match self.stats.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.stats.push((key, AmpStatCnf::default()));
+                self.stats.len() - 1
+            }
+        };
+        &mut self.stats[i].1
     }
 
     /// Firmware hook: a SoF delimiter was sensed on the medium. Captured
@@ -200,7 +205,10 @@ impl Device {
 
     /// Read a counter pair (zero if the link was never used).
     pub fn stats(&self, key: &StatKey) -> AmpStatCnf {
-        self.stats.get(key).copied().unwrap_or_default()
+        self.stats
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or_else(AmpStatCnf::default, |&(_, s)| s)
     }
 
     /// Handle one raw MME request addressed to this device and produce the
@@ -227,7 +235,7 @@ impl Device {
                 };
                 let current = self.stats(&key);
                 if req.control == StatsControl::Reset {
-                    self.stats.insert(key, AmpStatCnf::default());
+                    *self.counters_mut(key) = AmpStatCnf::default();
                 }
                 // Like the real ampstat flow, the confirm carries the
                 // counters as of the request (a reset reply reports the

@@ -33,7 +33,6 @@ use plc_sim::trace::{TraceEvent, TraceSink};
 use plc_sim::traffic::TrafficModel;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of one testbed instance.
@@ -193,7 +192,7 @@ impl PowerStrip {
     ///
     /// The engine performs the exact same sequence of rounds as an
     /// unsegmented run — pausing is observationally free — so for an empty
-    /// plan and no breaks this is byte-identical to [`run_test`].
+    /// plan and no breaks this is byte-identical to [`run_test`](PowerStrip::run_test).
     pub fn run_test_with_breaks(
         &mut self,
         breaks: &[Microseconds],
@@ -289,18 +288,38 @@ impl PowerStrip {
 }
 
 /// Trace sink wiring engine wire events into device firmware state.
+///
+/// Both tables are indexed by the 8-bit TEI and built once per test, so
+/// one SoF or SACK costs the same at any N. Only MPDUs between two
+/// devices on the strip are counted: a TEI no device carries (0 =
+/// unassociated, 255 = broadcast, or simply unused) resolves to nothing.
 struct FirmwareSink {
     devices: DeviceTable,
-    /// In-flight MPDU bookkeeping: src TEI → (priority, dst TEI), set by
-    /// the SoF, consumed by the matching SACK.
-    pending: HashMap<Tei, (Priority, Tei)>,
+    /// TEI → index of the device carrying it.
+    device_of: [Option<usize>; 256],
+    /// In-flight MPDUs by source TEI, set by the SoF and taken by the
+    /// matching SACK.
+    pending: [Option<InFlight>; 256],
+}
+
+/// One MPDU between two devices on the strip, awaiting its SACK.
+#[derive(Clone, Copy)]
+struct InFlight {
+    priority: Priority,
+    tx: usize,
+    rx: usize,
 }
 
 impl FirmwareSink {
     fn new(devices: DeviceTable) -> Self {
+        let mut device_of = [None; 256];
+        for (i, d) in devices.lock().iter().enumerate() {
+            device_of[usize::from(d.tei().0)] = Some(i);
+        }
         FirmwareSink {
             devices,
-            pending: HashMap::new(),
+            device_of,
+            pending: [None; 256],
         }
     }
 }
@@ -309,35 +328,27 @@ impl TraceSink for FirmwareSink {
     fn on_event(&mut self, ev: &TraceEvent) {
         match ev {
             TraceEvent::Sof { t, sof, .. } => {
-                self.pending.insert(sof.src, (sof.priority, sof.dst));
+                let tx = self.device_of[usize::from(sof.src.0)];
+                let rx = self.device_of[usize::from(sof.dst.0)];
+                self.pending[usize::from(sof.src.0)] = tx.zip(rx).map(|(tx, rx)| InFlight {
+                    priority: sof.priority,
+                    tx,
+                    rx,
+                });
                 let mut devices = self.devices.lock();
                 for d in devices.iter_mut() {
                     d.sense_sof(t.as_micros(), *sof);
                 }
             }
             TraceEvent::Sack { ack, .. } => {
-                let Some(&(priority, dst)) = self.pending.get(&ack.to) else {
+                let Some(m) = self.pending[usize::from(ack.to.0)].take() else {
                     return;
                 };
                 let collided = ack.indicates_collision();
                 let mut devices = self.devices.lock();
-                // Peer of the transmit-side counter is the destination MAC.
-                let peer_mac = devices
-                    .iter()
-                    .find(|d| d.tei() == dst)
-                    .map(|d| d.mac())
-                    .unwrap_or(MacAddr::BROADCAST);
-                let src_mac = devices
-                    .iter()
-                    .find(|d| d.tei() == ack.to)
-                    .map(|d| d.mac())
-                    .unwrap_or(MacAddr::BROADCAST);
-                if let Some(tx_dev) = devices.iter_mut().find(|d| d.tei() == ack.to) {
-                    tx_dev.record_tx_ack(peer_mac, priority, collided);
-                }
-                if let Some(rx_dev) = devices.iter_mut().find(|d| d.tei() == dst) {
-                    rx_dev.record_rx(src_mac, priority, collided);
-                }
+                let (tx_mac, rx_mac) = (devices[m.tx].mac(), devices[m.rx].mac());
+                devices[m.tx].record_tx_ack(rx_mac, m.priority, collided);
+                devices[m.rx].record_rx(tx_mac, m.priority, collided);
             }
             _ => {}
         }
@@ -589,6 +600,83 @@ mod tests {
             clean[0].acked
         );
         assert_eq!(faulted[1], clean[1], "other station unaffected");
+    }
+
+    /// Three devices (stations 0 and 1, then D) behind a firmware sink.
+    fn sink_on_strip() -> (DeviceTable, FirmwareSink) {
+        let devices: DeviceTable = Arc::new(Mutex::new(
+            (0..3)
+                .map(|i| Device::new(MacAddr::station(i), Tei::station(i)))
+                .collect(),
+        ));
+        let sink = FirmwareSink::new(devices.clone());
+        (devices, sink)
+    }
+
+    fn sof_event(src: Tei, dst: Tei) -> TraceEvent {
+        TraceEvent::Sof {
+            t: Microseconds(1.0),
+            station: 0,
+            sof: plc_core::frame::SofDelimiter {
+                src,
+                dst,
+                priority: Priority::CA1,
+                mpdu_cnt: 0,
+                num_pbs: 4,
+                fl_units: 1602,
+            },
+        }
+    }
+
+    fn sack_event(to: Tei) -> TraceEvent {
+        TraceEvent::Sack {
+            t: Microseconds(2.0),
+            ack: plc_core::frame::SelectiveAck::all_errored(to, 4),
+        }
+    }
+
+    /// Every counter of every device, via the derived Debug rendering.
+    fn firmware_state(devices: &DeviceTable) -> String {
+        format!("{:?}", devices.lock())
+    }
+
+    #[test]
+    fn sack_without_sof_counts_nothing() {
+        let (devices, mut sink) = sink_on_strip();
+        let (s0, d) = (Tei::station(0), Tei::station(2));
+        let before = firmware_state(&devices);
+        sink.on_event(&sack_event(s0));
+        assert_eq!(firmware_state(&devices), before);
+        // A SoF/SACK pair counts once; the SACK takes the in-flight MPDU,
+        // so a repeated SACK finds nothing.
+        sink.on_event(&sof_event(s0, d));
+        sink.on_event(&sack_event(s0));
+        let counted = firmware_state(&devices);
+        assert_ne!(counted, before);
+        sink.on_event(&sack_event(s0));
+        assert_eq!(firmware_state(&devices), counted);
+        let key = crate::device::StatKey {
+            peer: MacAddr::station(2),
+            priority: Priority::CA1,
+            direction: plc_core::mme::Direction::Tx,
+        };
+        let tx = devices.lock()[0].stats(&key);
+        assert_eq!((tx.acked, tx.collided), (1, 1));
+    }
+
+    #[test]
+    fn unassociated_and_broadcast_teis_are_not_counted() {
+        let (devices, mut sink) = sink_on_strip();
+        let (s0, d) = (Tei::station(0), Tei::station(2));
+        let before = firmware_state(&devices);
+        for tei in [Tei::UNASSOCIATED, Tei::BROADCAST] {
+            for (src, dst) in [(tei, d), (s0, tei), (tei, tei)] {
+                sink.on_event(&sof_event(src, dst));
+                sink.on_event(&sack_event(src));
+            }
+            sink.on_event(&sack_event(tei));
+        }
+        assert_eq!(firmware_state(&devices), before);
     }
 
     #[test]
